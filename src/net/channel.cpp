@@ -108,12 +108,12 @@ Status sendmsg_all(int fd, struct iovec* iov, std::size_t count,
   return Status::ok();
 }
 
-// Reads exactly `size` bytes or reports why it could not.
+// Reads exactly `size` bytes or reports why it could not; `got` says how
+// many arrived before the failure.
 Status recv_exact(int fd, void* data, std::size_t size, int timeout_ms,
-                  bool& clean_eof) {
+                  std::size_t& got) {
   auto* p = static_cast<std::uint8_t*>(data);
-  std::size_t got = 0;
-  clean_eof = false;
+  got = 0;
   while (got < size) {
     struct pollfd pfd = {fd, POLLIN, 0};
     int ready = ::poll(&pfd, 1, timeout_ms);
@@ -122,11 +122,7 @@ Status recv_exact(int fd, void* data, std::size_t size, int timeout_ms,
     if (ready < 0)
       return make_error(ErrorCode::kIoError, "channel poll failed");
     ssize_t n = ::recv(fd, p + got, size - got, 0);
-    if (n == 0) {
-      clean_eof = got == 0;
-      return make_error(clean_eof ? ErrorCode::kNotFound : ErrorCode::kIoError,
-                        clean_eof ? "end of stream" : "peer closed mid-frame");
-    }
+    if (n == 0) return make_error(ErrorCode::kNotFound, "end of stream");
     if (n < 0) return make_error(ErrorCode::kIoError, "channel recv failed");
     got += static_cast<std::size_t>(n);
   }
@@ -324,45 +320,61 @@ Status Channel::send_gather(std::span<const IoSlice> slices) {
   return Status::ok();
 }
 
-Status Channel::send_some(std::span<const std::uint8_t> message,
+Status Channel::send_some(std::span<const IoSlice> slices,
                           std::size_t& cursor) {
   if (fd_ < 0) return make_error(ErrorCode::kIoError, "channel is closed");
-  if (message.size() > kMaxFrameBytes)
+  std::uint64_t total = 0;
+  for (const IoSlice& s : slices) total += s.size;
+  if (total > kMaxFrameBytes)
     return make_error(ErrorCode::kInvalidArgument, "message too large");
   if (failure_ != InjectedFailure::kNone && cursor == 0) {
     // Armed channels route through the blocking seam so injected byte
     // budgets stay exact (test-only path).
-    XMIT_RETURN_IF_ERROR(send(message));
-    cursor = message.size() + 4;
+    XMIT_RETURN_IF_ERROR(send_gather(slices));
+    cursor = static_cast<std::size_t>(total) + 4;
     return Status::ok();
   }
   std::uint8_t header[4];
-  store_with_order<std::uint32_t>(header,
-                                  static_cast<std::uint32_t>(message.size()),
+  store_with_order<std::uint32_t>(header, static_cast<std::uint32_t>(total),
                                   ByteOrder::kLittle);
-  const std::size_t total = message.size() + sizeof(header);
-  while (cursor < total) {
-    const std::uint8_t* p;
-    std::size_t n;
-    if (cursor < sizeof(header)) {
-      p = header + cursor;
-      n = sizeof(header) - cursor;
-    } else {
-      p = message.data() + (cursor - sizeof(header));
-      n = total - cursor;
+  const std::size_t wire = static_cast<std::size_t>(total) + sizeof(header);
+  constexpr std::size_t kIovBatch = 64;
+  while (cursor < wire) {
+    // Gather what is left past the cursor, a batch of slices at a time.
+    struct iovec iov[kIovBatch];
+    std::size_t used = 0;
+    std::size_t skip = cursor;
+    const auto add = [&](const void* data, std::size_t size) {
+      if (skip >= size) {
+        skip -= size;
+        return;
+      }
+      iov[used].iov_base = const_cast<std::uint8_t*>(
+          static_cast<const std::uint8_t*>(data) + skip);
+      iov[used].iov_len = size - skip;
+      ++used;
+      skip = 0;
+    };
+    add(header, sizeof(header));
+    for (const IoSlice& s : slices) {
+      if (used == kIovBatch) break;
+      add(s.data, s.size);
     }
-    ssize_t w = ::send(fd_, p, n, MSG_NOSIGNAL | MSG_DONTWAIT);
-    if (w < 0 && errno == EINTR) continue;
-    if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+    struct msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = used;
+    ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
       return make_error(ErrorCode::kUnavailable, "channel send would block");
-    if (w <= 0)
+    if (n <= 0)
       return make_error(ErrorCode::kIoError,
                         std::string("channel send failed: ") +
                             std::strerror(errno));
-    cursor += static_cast<std::size_t>(w);
+    cursor += static_cast<std::size_t>(n);
   }
   ++sent_;
-  bytes_sent_ += total;
+  bytes_sent_ += wire;
   return Status::ok();
 }
 
@@ -372,24 +384,18 @@ bool Channel::poll_writable(int timeout_ms) {
   return ::poll(&pfd, 1, timeout_ms) > 0;
 }
 
-Status Channel::recv_some(std::vector<std::uint8_t>& buf,
-                          std::size_t max_bytes) {
+Result<std::size_t> Channel::recv_some(std::span<std::uint8_t> into) {
   if (fd_ < 0) return make_error(ErrorCode::kIoError, "channel is closed");
-  const std::size_t old = buf.size();
-  buf.resize(old + max_bytes);
   ssize_t n;
   do {
-    n = ::recv(fd_, buf.data() + old, max_bytes, MSG_DONTWAIT);
+    n = ::recv(fd_, into.data(), into.size(), MSG_DONTWAIT);
   } while (n < 0 && errno == EINTR);
   if (n < 0) {
-    buf.resize(old);
-    if (errno == EAGAIN || errno == EWOULDBLOCK)
-      return make_error(ErrorCode::kUnavailable, "nothing to receive yet");
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return std::size_t{0};
     return make_error(ErrorCode::kIoError, "channel recv failed");
   }
-  buf.resize(old + static_cast<std::size_t>(n));
   if (n == 0) return make_error(ErrorCode::kNotFound, "end of stream");
-  return Status::ok();
+  return static_cast<std::size_t>(n);
 }
 
 bool Channel::poll_readable(int timeout_ms) {
@@ -407,17 +413,29 @@ Result<std::vector<std::uint8_t>> Channel::receive(int timeout_ms) {
 Status Channel::receive_into(std::vector<std::uint8_t>& out, int timeout_ms) {
   out.clear();
   if (fd_ < 0) return Status(ErrorCode::kIoError, "channel is closed");
+  // Once a frame has begun, any failure leaves the stream unframeable.
+  const auto mid_frame = [this](const Status& why) {
+    if (why.code() == ErrorCode::kTimeout) {
+      close();
+      return make_error(ErrorCode::kIoError,
+                        "timed out mid-frame; stream unframeable");
+    }
+    if (why.code() == ErrorCode::kNotFound)
+      return make_error(ErrorCode::kIoError, "peer closed mid-frame");
+    return why;
+  };
   std::uint8_t frame[4];
-  bool clean_eof = false;
-  XMIT_RETURN_IF_ERROR(recv_exact(fd_, frame, sizeof(frame), timeout_ms,
-                                  clean_eof));
+  std::size_t got = 0;
+  Status header = recv_exact(fd_, frame, sizeof(frame), timeout_ms, got);
+  if (!header.is_ok()) return got == 0 ? header : mid_frame(header);
   std::uint32_t length = load_with_order<std::uint32_t>(frame, ByteOrder::kLittle);
   if (length > kMaxFrameBytes)
     return Status(ErrorCode::kParseError, "frame length is implausible");
   out.resize(length);
-  if (length > 0)
-    XMIT_RETURN_IF_ERROR(
-        recv_exact(fd_, out.data(), length, timeout_ms, clean_eof));
+  if (length > 0) {
+    Status body = recv_exact(fd_, out.data(), length, timeout_ms, got);
+    if (!body.is_ok()) return mid_frame(body);
+  }
   return Status::ok();
 }
 

@@ -60,15 +60,17 @@ class Channel {
     return send(std::span<const std::uint8_t>(message));
   }
 
-  // Nonblocking framed send with partial-write resumption. `cursor` tracks
-  // progress through the wire image ([4-byte header | message]); callers
-  // start it at 0 and pass the same variable back until the frame
-  // completes. Returns OK when the whole frame is on the wire,
-  // kUnavailable when the socket would block (EAGAIN — call again when
-  // writable, with the cursor untouched in between), and kIoError /
-  // kTimeout on a dead transport. A frame abandoned mid-cursor leaves the
-  // stream unframeable: the only safe next step is close().
-  Status send_some(std::span<const std::uint8_t> message, std::size_t& cursor);
+  // Nonblocking framed gather send with partial-write resumption: the
+  // frame's payload is the concatenation of `slices`, and `cursor` tracks
+  // progress through its wire image ([4-byte header | payload]). Callers
+  // start the cursor at 0 and pass it back until the frame completes.
+  // Bytes before the cursor are never read, so a caller resuming a frame
+  // whose head it no longer holds may pass a placeholder slice of the same
+  // length. Returns OK when the whole frame is on the wire, kUnavailable
+  // when the socket would block (the cursor says how far it got), and
+  // kIoError / kTimeout on a dead transport. A frame abandoned mid-cursor
+  // leaves the stream unframeable: the only safe next step is close().
+  Status send_some(std::span<const IoSlice> slices, std::size_t& cursor);
 
   // True when a send of at least one byte would not block (POLLOUT within
   // timeout_ms; 0 = poll-and-return).
@@ -90,21 +92,23 @@ class Channel {
 
   // Blocks up to timeout_ms for the next complete frame. A cleanly closed
   // peer yields kNotFound ("end of stream"), an expired deadline yields
-  // kTimeout, and every other socket failure is kIoError.
+  // kTimeout, and every other socket failure is kIoError. Once any byte of
+  // a frame has been consumed the frame must complete: a timeout past that
+  // point closes the channel and reports kIoError, because the stream can
+  // no longer be re-framed (the same rule as the send deadline).
   Result<std::vector<std::uint8_t>> receive(int timeout_ms = 5000);
 
   // receive() into a caller-owned buffer: once `out`'s capacity has grown
   // to the session's largest frame, further receives allocate nothing.
   Status receive_into(std::vector<std::uint8_t>& out, int timeout_ms = 5000);
 
-  // Nonblocking raw receive: appends whatever bytes the socket currently
-  // holds (up to max_bytes) to `buf`. Returns kUnavailable when nothing
-  // is waiting (EAGAIN), kNotFound on EOF, kIoError otherwise. Callers
-  // own the re-framing — this is the readiness-model primitive the
-  // flow-controlled session (and the future reactor) drain from, and it
-  // must not be mixed with receive_into on the same stream.
-  Status recv_some(std::vector<std::uint8_t>& buf,
-                   std::size_t max_bytes = 64 * 1024);
+  // Nonblocking raw receive into `into`, caller-owned spare space that is
+  // neither cleared nor resized: returns how many bytes arrived, 0 when
+  // nothing is waiting (EAGAIN), kNotFound on EOF, kIoError otherwise.
+  // Callers own the re-framing; this is the readiness primitive
+  // MessageSession's frame assembler drains from, and it must not be
+  // mixed with receive_into on the same stream.
+  Result<std::size_t> recv_some(std::span<std::uint8_t> into);
 
   // True when a recv of at least one byte (or EOF) would not block.
   bool poll_readable(int timeout_ms);

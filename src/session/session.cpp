@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 #include <thread>
 
 #include "analysis/plan_verify.hpp"
@@ -24,18 +25,11 @@ constexpr std::uint8_t kTagReplayRequest = 0x07;
 constexpr std::uint8_t kTagCredit = 0x08;
 constexpr std::uint8_t kTagShed = 0x09;
 
-// [u64 first-seq | u64 last-seq]
-constexpr std::size_t kDurableRangePayloadBytes = 16;
-// [u64 last-seq-received | u64 window-records | u64 window-bytes]
-constexpr std::size_t kCreditPayloadBytes = 24;
-// [u64 first-seq | u64 last-seq]
-constexpr std::size_t kShedPayloadBytes = 16;
-// A window (records or bytes) or shed span past this is not a plausible
-// drain budget on any hardware this decade — it is an attack on the
-// credit arithmetic.
+// A window or shed span past this is no plausible drain budget: it is an
+// attack on the credit arithmetic.
 constexpr std::uint64_t kMaxCreditWindow = 1ull << 48;
-// Control frames waiting to go out; droppable ones (heartbeats, grants)
-// are skipped past this depth because a fresher copy always follows.
+// Droppable control frames (heartbeats, grants) are skipped past this
+// queue depth: a fresher copy always follows.
 constexpr std::size_t kControlQueueCap = 64;
 
 // [u8 flags | u64 session id | u32 epoch | u64 last-seq-received]
@@ -50,22 +44,84 @@ std::uint64_t generate_session_id() {
   return counter.fetch_add(1) * 0x9E3779B97F4A7C15ull;
 }
 
-}  // namespace
+// Every record frame starts [tag 0x02 | u64 LE seq].
+void store_record_head(std::uint8_t* out, std::uint64_t seq) {
+  out[0] = kTagRecord;
+  store_with_order<std::uint64_t>(out + 1, seq, ByteOrder::kLittle);
+}
 
-MessageSession::MessageSession(net::Channel channel,
-                               pbio::FormatRegistry& registry)
-    : MessageSession(std::move(channel), registry, SessionOptions{}) {}
+// [tag | u64 LE words]: every fixed-size control frame but the handshake.
+struct WordFrame {
+  std::uint8_t bytes[1 + 3 * kSeqBytes];
+  std::size_t size = 1;
+  std::span<const std::uint8_t> span() const { return {bytes, size}; }
+};
+
+WordFrame word_frame(std::uint8_t tag,
+                     std::initializer_list<std::uint64_t> words) {
+  WordFrame frame;
+  frame.bytes[0] = tag;
+  for (std::uint64_t word : words) {
+    store_with_order<std::uint64_t>(frame.bytes + frame.size, word,
+                                    ByteOrder::kLittle);
+    frame.size += kSeqBytes;
+  }
+  return frame;
+}
+
+// The i-th u64 LE word of a frame payload.
+std::uint64_t word_at(std::span<const std::uint8_t> payload, std::size_t i) {
+  return load_with_order<std::uint64_t>(payload.data() + i * kSeqBytes,
+                                        ByteOrder::kLittle);
+}
+
+std::size_t slices_bytes(std::span<const IoSlice> slices) {
+  std::size_t total = 0;
+  for (const IoSlice& s : slices) total += s.size;
+  return total;
+}
+
+// Appends the concatenation of `slices`, minus its first `skip` bytes.
+void append_slices(std::vector<std::uint8_t>& out,
+                   std::span<const IoSlice> slices, std::size_t skip = 0) {
+  for (const IoSlice& s : slices) {
+    if (skip >= s.size) {
+      skip -= s.size;
+      continue;
+    }
+    const auto* p = static_cast<const std::uint8_t*>(s.data);
+    out.insert(out.end(), p + skip, p + s.size);
+    skip = 0;
+  }
+}
+
+}  // namespace
 
 MessageSession::MessageSession(net::Channel channel,
                                pbio::FormatRegistry& registry,
                                SessionOptions options)
+    : MessageSession(std::move(channel), net::Endpoint(), registry,
+                     options) {}
+
+MessageSession::MessageSession(net::Endpoint endpoint,
+                               pbio::FormatRegistry& registry,
+                               SessionOptions options)
+    : MessageSession(net::Channel(), std::move(endpoint), registry, options) {}
+
+MessageSession::MessageSession(net::Channel channel, net::Endpoint endpoint,
+                               pbio::FormatRegistry& registry,
+                               SessionOptions options)
     : channel_(std::move(channel)),
+      endpoint_(std::move(endpoint)),
       registry_(&registry),
       decoder_(std::make_unique<pbio::Decoder>(registry)),
       attach_slot_(std::make_unique<AttachSlot>()),
       options_(options),
-      resumable_(options.resumable),
       session_id_(options.session_id) {
+  // An active session dials its own transports: always resumable.
+  if (active()) options_.resumable = true;
+  if (active() && session_id_ == 0) session_id_ = generate_session_id();
+  resumable_ = options_.resumable;
   // Sessions decode against formats a remote peer described; every plan
   // compiled from that metadata is statically verified before first use.
   analysis::register_plan_verifier();
@@ -74,25 +130,6 @@ MessageSession::MessageSession(net::Channel channel,
   last_inbound_ms_ = clock_.elapsed_ms();
   init_durability();
   configure_transport();
-}
-
-MessageSession::MessageSession(net::Endpoint endpoint,
-                               pbio::FormatRegistry& registry,
-                               SessionOptions options)
-    : endpoint_(std::move(endpoint)),
-      registry_(&registry),
-      decoder_(std::make_unique<pbio::Decoder>(registry)),
-      attach_slot_(std::make_unique<AttachSlot>()),
-      options_(options),
-      resumable_(true),
-      session_id_(options.session_id != 0 ? options.session_id
-                                          : generate_session_id()) {
-  options_.resumable = true;
-  analysis::register_plan_verifier();
-  decoder_->set_verify_plans(true);
-  decoder_->set_plan_cache_budget(options_.plan_cache_budget);
-  last_inbound_ms_ = clock_.elapsed_ms();
-  init_durability();
 }
 
 void MessageSession::init_durability() {
@@ -132,7 +169,7 @@ void MessageSession::init_durability() {
   if (session_id_ == 0 && active()) session_id_ = generate_session_id();
   // Resume send-side sequencing past what the log already holds, and
   // bring the persisted formats back so replay can re-announce them.
-  if (!log_->empty()) next_seq_ = log_->last_seq() + 1;
+  if (!log_->empty()) next_seq_ = next_transmit_seq_ = log_->last_seq() + 1;
   Status loaded = catalog_->load_into(*registry_);
   if (!loaded.is_ok()) durable_error_ = loaded;
 }
@@ -168,48 +205,10 @@ Status MessageSession::catalog_put(const pbio::Format& format) {
 Status MessageSession::send_durable_advert() {
   if (!durable_ || log_ == nullptr || log_->empty() || !channel_.is_open())
     return Status::ok();
-  std::uint8_t frame[1 + kDurableRangePayloadBytes];
-  frame[0] = kTagDurableRange;
-  store_with_order<std::uint64_t>(frame + 1, log_->first_seq(),
-                                  ByteOrder::kLittle);
-  store_with_order<std::uint64_t>(frame + 9, log_->last_seq(),
-                                  ByteOrder::kLittle);
-  return channel_.send(std::span<const std::uint8_t>(frame, sizeof(frame)));
-}
-
-Status MessageSession::stream_from_log(std::uint64_t from, std::uint64_t to) {
-  if (log_ == nullptr || log_->empty() || from > to) return Status::ok();
-  // Direct writes: a partial frame mid-wire must complete first.
-  if (options_.flow_control)
-    XMIT_RETURN_IF_ERROR(flush_partials(options_.liveness_deadline_ms));
-  auto cursor = log_->read_from(from);
-  storage::RecordLog::Item item;
-  for (;;) {
-    auto more = cursor.next(&item);
-    if (!more.is_ok()) return more.status();
-    if (!more.value() || item.seq > to) return Status::ok();
-    if (item.format_id != 0 && !announced_.contains(item.format_id)) {
-      auto format = registry_->by_id(item.format_id);
-      if (format.is_ok()) {
-        ByteBuffer frame;
-        frame.append_byte(kTagFormat);
-        serialize_format(*format.value(), frame);
-        XMIT_RETURN_IF_ERROR(channel_.send(frame.span()));
-        announced_.insert(item.format_id);
-        announce_seq_[item.format_id] = item.seq;
-        ++announcements_sent_;
-        metadata_bytes_sent_ += frame.size();
-      }
-    }
-    std::uint8_t head[1 + kSeqBytes];
-    head[0] = kTagRecord;
-    store_with_order<std::uint64_t>(head + 1, item.seq, ByteOrder::kLittle);
-    const IoSlice slices[2] = {{head, sizeof(head)},
-                               {item.payload.data(), item.payload.size()}};
-    XMIT_RETURN_IF_ERROR(
-        channel_.send_gather(std::span<const IoSlice>(slices, 2)));
-    ++replayed_records_;
-  }
+  return emit_control(
+      word_frame(kTagDurableRange, {log_->first_seq(), log_->last_seq()})
+          .span(),
+      /*droppable=*/false);
 }
 
 Status MessageSession::request_replay(std::uint64_t from_seq) {
@@ -220,15 +219,12 @@ Status MessageSession::request_replay(std::uint64_t from_seq) {
   if (!channel_.is_open())
     return Status(ErrorCode::kIoError,
                   "no transport to request a replay on");
-  if (options_.flow_control)
-    XMIT_RETURN_IF_ERROR(flush_partials(options_.liveness_deadline_ms));
   // Rewind the dedup window so the historical records are delivered
   // instead of being reported as an already-seen range or a gap.
   if (last_seq_received_ >= from_seq) last_seq_received_ = from_seq - 1;
-  std::uint8_t frame[1 + kSeqBytes];
-  frame[0] = kTagReplayRequest;
-  store_with_order<std::uint64_t>(frame + 1, from_seq, ByteOrder::kLittle);
-  return channel_.send(std::span<const std::uint8_t>(frame, sizeof(frame)));
+  XMIT_RETURN_IF_ERROR(emit_control(
+      word_frame(kTagReplayRequest, {from_seq}).span(), /*droppable=*/false));
+  return flush();
 }
 
 void MessageSession::set_limits(const DecodeLimits& limits) {
@@ -274,7 +270,7 @@ void MessageSession::install_pending_attach() {
   if (!pending.has_value()) return;
   channel_ = std::move(*pending);
   configure_transport();
-  reset_partial_cursors();
+  reset_wire();
   ++reconnects_;
   last_inbound_ms_ = clock_.elapsed_ms();
   transport_lost_ms_ = -1;
@@ -285,7 +281,7 @@ void MessageSession::note_transport_lost() {
   // failure racing a receive failure on the same death) is one loss.
   if (!channel_.is_open() && transport_lost_ms_ >= 0) return;
   channel_.close();
-  reset_partial_cursors();
+  reset_wire();
   ++transport_losses_;
   transport_lost_ms_ = clock_.elapsed_ms();
 }
@@ -296,19 +292,6 @@ void MessageSession::configure_transport() {
   // the liveness window instead of suppressing its own heartbeats forever.
   if (resumable_ || options_.flow_control)
     channel_.set_send_deadline(options_.liveness_deadline_ms);
-}
-
-void MessageSession::reset_partial_cursors() {
-  // Partially written frames died with the transport; they retransmit in
-  // full (and re-frame cleanly) on whatever channel comes next.
-  if (!control_queue_.empty()) control_queue_.front().cursor = 0;
-  if (!send_queue_.empty()) send_queue_.front().cursor = 0;
-  spill_cursor_ = 0;
-  spill_seq_ = 0;
-  spill_frame_.clear();
-  // Half-assembled inbound bytes died with the transport too.
-  inbound_buf_.clear();
-  inbound_pos_ = 0;
 }
 
 Status MessageSession::ready_to_send() {
@@ -378,7 +361,7 @@ Status MessageSession::reconnect(int budget_ms) {
     }
     channel_ = std::move(dialed).value();
     configure_transport();
-    reset_partial_cursors();
+    reset_wire();
     ++epoch_;
     if (epoch_ > 1) ++reconnects_;
     last_inbound_ms_ = clock_.elapsed_ms();
@@ -417,7 +400,8 @@ Status MessageSession::send_handshake(bool initiate) {
   store_with_order<std::uint32_t>(frame + 10, epoch_, ByteOrder::kLittle);
   store_with_order<std::uint64_t>(frame + 14, last_seq_received_,
                                   ByteOrder::kLittle);
-  return channel_.send(std::span<const std::uint8_t>(frame, sizeof(frame)));
+  return emit_control(std::span<const std::uint8_t>(frame, sizeof(frame)),
+                      /*droppable=*/false);
 }
 
 Status MessageSession::absorb_ack(std::uint64_t last_seq) {
@@ -444,12 +428,10 @@ Status MessageSession::process_handshake(
   const std::uint8_t flags = payload[0];
   if ((flags & ~kHandshakeInitiate) != 0)
     return Status(ErrorCode::kMalformedInput, "unknown handshake flag bits");
-  const std::uint64_t sid =
-      load_with_order<std::uint64_t>(payload.data() + 1, ByteOrder::kLittle);
+  const std::uint64_t sid = word_at(payload.subspan(1), 0);
   const std::uint32_t epoch =
       load_with_order<std::uint32_t>(payload.data() + 9, ByteOrder::kLittle);
-  const std::uint64_t last =
-      load_with_order<std::uint64_t>(payload.data() + 13, ByteOrder::kLittle);
+  const std::uint64_t last = word_at(payload.subspan(13), 0);
   if (sid == 0)
     return Status(ErrorCode::kMalformedInput, "handshake session id is zero");
   if (session_id_ != 0 && sid != session_id_)
@@ -472,9 +454,6 @@ Status MessageSession::process_handshake(
     epoch_ = epoch;
     // Adopted identity hits the disk before we answer for it.
     if (identity_changed) XMIT_RETURN_IF_ERROR(persist_meta());
-    // The reply is a direct write: clear any half-sent frame first.
-    if (options_.flow_control)
-      XMIT_RETURN_IF_ERROR(flush_partials(options_.liveness_deadline_ms));
     XMIT_RETURN_IF_ERROR(send_handshake(/*initiate=*/false));
     XMIT_RETURN_IF_ERROR(send_durable_advert());
     // The drop cut both directions: replay our own unacked frames too.
@@ -486,104 +465,47 @@ Status MessageSession::process_handshake(
 }
 
 Status MessageSession::replay_unacked() {
-  // Direct writes below; nothing may interleave with a half-sent frame.
-  if (options_.flow_control)
-    XMIT_RETURN_IF_ERROR(flush_partials(options_.liveness_deadline_ms));
-  // Queued-but-unsent shed notices must replay too, in sequence position,
-  // or the records they scrubbed from the replay buffer read as silent
-  // loss at the receiver.
-  std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> notices;
-  if (options_.flow_control) {
-    for (const QueuedFrame& frame : send_queue_)
-      if (frame.control && !frame.frame.empty() &&
-          frame.frame[0] == kTagShed)
-        notices.emplace_back(
-            load_with_order<std::uint64_t>(frame.frame.data() + 1,
-                                           ByteOrder::kLittle),
-            frame.frame);
-    std::sort(notices.begin(), notices.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-  }
-  std::size_t next_notice = 0;
-  const auto notices_before = [&](std::uint64_t seq) -> Status {
-    for (; next_notice < notices.size() && notices[next_notice].first < seq;
-         ++next_notice)
-      XMIT_RETURN_IF_ERROR(channel_.send(notices[next_notice].second));
-    return Status::ok();
-  };
   // Announcements the peer's ack does not cover may never have arrived;
   // un-mark them so they go out again ahead of the frames that need them.
   // Formats the *peer* announced have no announce_seq_ entry and stay.
   for (const auto& [fid, seq] : announce_seq_)
     if (seq > peer_acked_seq_) announced_.erase(fid);
-  // Durable reach-back: after a restart (or a deep eviction) the oldest
-  // unacked records live only on disk. Stream the stretch the in-memory
-  // buffer no longer covers before the buffered frames go out.
-  if (durable_ && log_ != nullptr && !log_->empty()) {
-    const std::uint64_t need = peer_acked_seq_ + 1;
-    const std::uint64_t mem_first =
-        replay_.empty() ? next_seq_ : replay_.front().seq;
-    if (need < mem_first && need <= log_->last_seq())
-      XMIT_RETURN_IF_ERROR(
-          stream_from_log(need, std::min(mem_first - 1, log_->last_seq())));
+  // Rebuild the data queue: every unacked record, sent or not, goes out
+  // again as credit-exempt history from the replay buffer or, past what
+  // it holds, the durable log. Queued shed notices (in sequence order,
+  // like the whole queue) keep their position, or the records they
+  // scrubbed would read as silent loss.
+  std::vector<QueuedFrame> notices;
+  for (QueuedFrame& frame : send_queue_)
+    if (frame.kind == FrameKind::kNotice && frame.seq > peer_acked_seq_)
+      notices.push_back(std::move(frame));
+  clear_data_queue();
+  std::uint64_t from = peer_acked_seq_ + 1;
+  for (QueuedFrame& notice : notices) {
+    const std::uint64_t first =
+        word_at(std::span<const std::uint8_t>(notice.frame).subspan(1), 0);
+    if (first > from) queue_history(from, first - 1);
+    from = std::max(from, notice.seq + 1);
+    send_queue_.push_back(std::move(notice));
   }
-  for (const ReplayEntry& entry : replay_) {
-    if (entry.seq <= peer_acked_seq_) continue;
-    XMIT_RETURN_IF_ERROR(notices_before(entry.seq));
-    if (entry.format_id != 0 && !announced_.contains(entry.format_id)) {
-      auto format = registry_->by_id(entry.format_id);
-      if (format.is_ok()) {
-        ByteBuffer frame;
-        frame.append_byte(kTagFormat);
-        serialize_format(*format.value(), frame);
-        XMIT_RETURN_IF_ERROR(channel_.send(frame.span()));
-        announced_.insert(entry.format_id);
-        announce_seq_[entry.format_id] = entry.seq;
-        ++announcements_sent_;
-        metadata_bytes_sent_ += frame.size();
-      }
-    }
-    XMIT_RETURN_IF_ERROR(channel_.send(entry.frame));
-    ++replayed_records_;
-  }
-  XMIT_RETURN_IF_ERROR(notices_before(next_seq_));
-  if (options_.flow_control) {
-    // The replay just re-sent (directly) everything the queue still owed
-    // the wire: the queued copies are now redundant and the in-flight
-    // ledger restarts clean. Control frames (grants, heartbeats) keep
-    // their place — a stale grant is monotone and therefore harmless.
-    send_queue_.clear();
-    data_queue_records_ = 0;
-    data_queue_bytes_ = 0;
-    next_transmit_seq_ = next_seq_;
-    inflight_.clear();
-    inflight_bytes_ = 0;
-    spill_seq_ = 0;
-    spill_cursor_ = 0;
-    spill_frame_.clear();
-  }
-  return Status::ok();
+  if (from < next_seq_) queue_history(from, next_seq_ - 1);
+  return flush();
+}
+
+void MessageSession::queue_history(std::uint64_t first, std::uint64_t last) {
+  send_queue_.push_back(QueuedFrame{
+      .kind = FrameKind::kHistory, .seq = first, .last = last, .frame = {}});
 }
 
 void MessageSession::maybe_ping() {
-  if (!(resumable_ || options_.flow_control) || !channel_.is_open()) return;
+  if (!receive_pumps() || !channel_.is_open()) return;
   const double now = clock_.elapsed_ms();
   if (now - last_ping_ms_ < options_.heartbeat_interval_ms) return;
   last_ping_ms_ = now;
-  std::uint8_t frame[1 + kSeqBytes];
-  frame[0] = kTagPing;
-  store_with_order<std::uint64_t>(frame + 1, last_seq_received_,
-                                  ByteOrder::kLittle);
-  if (options_.flow_control) {
-    // The control queue keeps heartbeats flowing even while a data frame
-    // is parked mid-wire; a full queue drops the ping (a fresher one
-    // always follows next interval).
-    enqueue_control(std::span<const std::uint8_t>(frame, sizeof(frame)),
-                    /*droppable=*/true);
-    return;
-  }
-  Status sent = channel_.send(std::span<const std::uint8_t>(frame, sizeof(frame)));
-  if (!sent.is_ok() && !channel_.is_open()) note_transport_lost();
+  // Heartbeats keep flowing even while a data frame is mid-wire; a full
+  // control queue drops the ping (a fresher one follows next interval).
+  (void)emit_control(word_frame(kTagPing, {last_seq_received_}).span(),
+                     /*droppable=*/true);
 }
 
 void MessageSession::buffer_for_replay(std::uint64_t seq,
@@ -592,13 +514,8 @@ void MessageSession::buffer_for_replay(std::uint64_t seq,
   ReplayEntry entry;
   entry.seq = seq;
   entry.format_id = format_id;
-  std::size_t total = 0;
-  for (const IoSlice& s : slices) total += s.size;
-  entry.frame.reserve(total);
-  for (const IoSlice& s : slices) {
-    const auto* p = static_cast<const std::uint8_t*>(s.data);
-    entry.frame.insert(entry.frame.end(), p, p + s.size);
-  }
+  entry.frame.reserve(slices_bytes(slices));
+  append_slices(entry.frame, slices);
   replay_bytes_ += entry.frame.size();
   replay_.push_back(std::move(entry));
   // Bounded window: evicted frames are simply no longer replayable — a
@@ -633,14 +550,11 @@ void MessageSession::buffer_for_replay(std::uint64_t seq,
 // --- flow control ------------------------------------------------------
 
 Status MessageSession::process_credit(std::span<const std::uint8_t> payload) {
-  if (payload.size() != kCreditPayloadBytes)
+  if (payload.size() != 3 * kSeqBytes)
     return Status(ErrorCode::kParseError, "bad credit-grant frame length");
-  const std::uint64_t ack =
-      load_with_order<std::uint64_t>(payload.data(), ByteOrder::kLittle);
-  const std::uint64_t window_records =
-      load_with_order<std::uint64_t>(payload.data() + 8, ByteOrder::kLittle);
-  const std::uint64_t window_bytes =
-      load_with_order<std::uint64_t>(payload.data() + 16, ByteOrder::kLittle);
+  const std::uint64_t ack = word_at(payload, 0);
+  const std::uint64_t window_records = word_at(payload, 1);
+  const std::uint64_t window_bytes = word_at(payload, 2);
   // Every hostile shape is rejected before any of it touches credit
   // state: a poisonous grant must not move the windows *and* cost budget.
   if (window_records == 0 || window_bytes == 0)
@@ -665,12 +579,10 @@ Status MessageSession::process_credit(std::span<const std::uint8_t> payload) {
 }
 
 Status MessageSession::process_shed(std::span<const std::uint8_t> payload) {
-  if (payload.size() != kShedPayloadBytes)
+  if (payload.size() != 2 * kSeqBytes)
     return Status(ErrorCode::kParseError, "bad shed-notice frame length");
-  const std::uint64_t first =
-      load_with_order<std::uint64_t>(payload.data(), ByteOrder::kLittle);
-  const std::uint64_t last =
-      load_with_order<std::uint64_t>(payload.data() + 8, ByteOrder::kLittle);
+  const std::uint64_t first = word_at(payload, 0);
+  const std::uint64_t last = word_at(payload, 1);
   if (first == 0)
     return Status(ErrorCode::kMalformedInput,
                   "shed notice cannot start at sequence 0");
@@ -706,322 +618,477 @@ void MessageSession::maybe_grant(bool force) {
   const std::uint64_t ack = std::max(last_seq_received_, last_grant_ack_);
   const std::uint64_t drained = ack - last_grant_ack_;
   if (!force && drained * 2 < options_.receive_window_records) return;
-  std::uint8_t frame[1 + kCreditPayloadBytes];
-  frame[0] = kTagCredit;
-  store_with_order<std::uint64_t>(frame + 1, ack, ByteOrder::kLittle);
-  store_with_order<std::uint64_t>(
-      frame + 9, static_cast<std::uint64_t>(options_.receive_window_records),
-      ByteOrder::kLittle);
-  store_with_order<std::uint64_t>(
-      frame + 17, static_cast<std::uint64_t>(options_.receive_window_bytes),
-      ByteOrder::kLittle);
-  if (enqueue_control(std::span<const std::uint8_t>(frame, sizeof(frame)),
-                      /*droppable=*/true)) {
+  const WordFrame grant =
+      word_frame(kTagCredit, {ack, options_.receive_window_records,
+                              options_.receive_window_bytes});
+  if (emit_control(grant.span(), /*droppable=*/true).is_ok()) {
     ++credit_grants_sent_;
     last_grant_ack_ = ack;
   }
 }
 
-bool MessageSession::enqueue_control(std::span<const std::uint8_t> frame,
-                                     bool droppable) {
-  // Droppable frames (heartbeats, grants) are always superseded by a
-  // fresher copy, so a full control queue simply skips them; must-deliver
-  // frames (announcements) ride past the cap — they are few and bounded
-  // by the format population.
-  if (droppable && control_queue_.size() >= kControlQueueCap) return false;
-  QueuedFrame queued;
-  queued.control = true;
-  queued.frame.assign(frame.begin(), frame.end());
-  control_queue_.push_back(std::move(queued));
-  pump_send_queue();
-  return true;
-}
+// --- the writer ----------------------------------------------------------
 
-Status MessageSession::load_spill_frame(std::uint64_t seq) {
-  if (log_ == nullptr)
-    return Status(ErrorCode::kNotFound, "no durable log to spill from");
-  auto cursor = log_->read_from(seq);
-  storage::RecordLog::Item item;
-  auto more = cursor.next(&item);
-  if (!more.is_ok()) {
-    durable_error_ = more.status();
-    return more.status();
-  }
-  if (!more.value() || item.seq != seq)
-    return Status(ErrorCode::kNotFound,
-                  "durable log does not hold spilled record " +
-                      std::to_string(seq));
-  // Schema-ahead-of-data still holds on the spill path. No partial can be
-  // mid-wire here (the pump only loads between whole frames), so a direct
-  // write is frame-safe.
-  if (item.format_id != 0 && !announced_.contains(item.format_id)) {
-    auto format = registry_->by_id(item.format_id);
-    if (format.is_ok()) {
-      ByteBuffer frame;
-      frame.append_byte(kTagFormat);
-      serialize_format(*format.value(), frame);
-      XMIT_RETURN_IF_ERROR(channel_.send(frame.span()));
-      announced_.insert(item.format_id);
-      announce_seq_[item.format_id] = item.seq;
-      ++announcements_sent_;
-      metadata_bytes_sent_ += frame.size();
-    }
-  }
-  spill_frame_.clear();
-  spill_frame_.reserve(1 + kSeqBytes + item.payload.size());
-  spill_frame_.push_back(kTagRecord);
-  std::uint8_t seq_le[kSeqBytes];
-  store_with_order<std::uint64_t>(seq_le, seq, ByteOrder::kLittle);
-  spill_frame_.insert(spill_frame_.end(), seq_le, seq_le + kSeqBytes);
-  spill_frame_.insert(spill_frame_.end(), item.payload.begin(),
-                      item.payload.end());
-  spill_cursor_ = 0;
-  spill_seq_ = seq;
+Status MessageSession::write_frame(std::span<const IoSlice> frame,
+                                   FrameKind kind, std::uint64_t seq,
+                                   std::vector<std::uint8_t>* owned) {
+  std::size_t cursor = 0;
+  Status sent = channel_.send_some(frame, cursor);
+  if (sent.is_ok()) return sent;
+  if (sent.code() != ErrorCode::kUnavailable || cursor == 0) return sent;
+  // Part of the frame is on the wire: keep only what it still owes, or all
+  // of a control frame (they are small), which a dead transport re-queues.
+  const std::size_t written =
+      cursor > 4 && kind != FrameKind::kControl ? cursor - 4 : 0;
+  midwire_.kind = kind;
+  midwire_.seq = seq;
+  midwire_.cursor = cursor;
+  midwire_.offset = owned != nullptr ? 0 : written;
+  midwire_.tail.clear();
+  if (owned != nullptr)
+    midwire_.tail.swap(*owned);
+  else
+    append_slices(midwire_.tail, frame, written);
   return Status::ok();
 }
 
-Status MessageSession::extract_inbound_frame(std::vector<std::uint8_t>& out) {
-  const std::size_t avail = inbound_buf_.size() - inbound_pos_;
-  if (avail >= 4) {
-    const std::uint32_t length = load_with_order<std::uint32_t>(
-        inbound_buf_.data() + inbound_pos_, ByteOrder::kLittle);
-    if (length > limits_.max_message_bytes)
-      return Status(ErrorCode::kResourceExhausted,
-                    "inbound frame exceeds the session size limit");
-    if (avail >= 4ull + length) {
-      const std::uint8_t* body = inbound_buf_.data() + inbound_pos_ + 4;
-      out.assign(body, body + length);
-      inbound_pos_ += 4 + length;
-      if (inbound_pos_ == inbound_buf_.size()) {
-        inbound_buf_.clear();
-        inbound_pos_ = 0;
-      } else if (inbound_pos_ >= 64 * 1024) {
-        inbound_buf_.erase(inbound_buf_.begin(),
-                           inbound_buf_.begin() +
-                               static_cast<std::ptrdiff_t>(inbound_pos_));
-        inbound_pos_ = 0;
-      }
-      return Status::ok();
+Status MessageSession::emit_control(std::span<const std::uint8_t> frame,
+                                    bool droppable) {
+  if (!channel_.is_open())
+    return Status(ErrorCode::kIoError, "channel is closed");
+  if (midwire_.cursor == 0 && control_queue_.empty()) {
+    const IoSlice slice = {frame.data(), frame.size()};
+    Status sent = write_frame(std::span<const IoSlice>(&slice, 1),
+                              FrameKind::kControl, 0, nullptr);
+    if (sent.is_ok()) return sent;
+    if (sent.code() != ErrorCode::kUnavailable) {
+      // The transport died under a must-deliver frame: the next one
+      // carries it, ahead of any record that needs it.
+      if (!droppable)
+        control_queue_.push_back(
+            QueuedFrame{.frame = {frame.begin(), frame.end()}});
+      return sent;
     }
   }
-  return Status(ErrorCode::kUnavailable, "frame incomplete");
+  // Must-deliver frames (announcements, handshakes) ride past the cap —
+  // they are few and bounded by the format population.
+  if (droppable && control_queue_.size() >= kControlQueueCap)
+    return Status(ErrorCode::kUnavailable, "control queue full; skipped");
+  control_queue_.push_back(QueuedFrame{.frame = {frame.begin(), frame.end()}});
+  return Status::ok();
 }
 
-Status MessageSession::fc_receive_frame(std::vector<std::uint8_t>& out,
-                                        int timeout_ms) {
-  Stopwatch budget;
+Status MessageSession::emit_record(std::uint64_t seq,
+                                   pbio::FormatId format_id,
+                                   std::span<const IoSlice> frame) {
+  // Disconnected: the resume rebuild re-sends it from the replay buffer.
+  if (!channel_.is_open()) return Status::ok();
+  const std::size_t bytes = slices_bytes(frame);
+  if (midwire_.cursor == 0 && control_queue_.empty() && send_queue_.empty() &&
+      next_transmit_seq_ == seq && credit_allows(seq, 4 + bytes)) {
+    Status sent = write_frame(frame, FrameKind::kData, seq, nullptr);
+    if (sent.is_ok()) note_transmitted(seq, 4 + bytes);
+    if (sent.code() != ErrorCode::kUnavailable) return sent;
+  }
+  QueuedFrame queued{.kind = FrameKind::kData,
+                     .seq = seq,
+                     .format_id = format_id,
+                     .frame = {}};
+  queued.frame.reserve(bytes);
+  append_slices(queued.frame, frame);
+  ++data_queue_records_;
+  data_queue_bytes_ += bytes;
+  send_queue_.push_back(std::move(queued));
+  // High-water marks: the bounded-memory proof.
+  send_queue_depth_peak_ = std::max(send_queue_depth_peak_, data_queue_records_);
+  send_queue_bytes_peak_ = std::max(send_queue_bytes_peak_, data_queue_bytes_);
+  return Status::ok();
+}
+
+bool MessageSession::credit_allows(std::uint64_t seq,
+                                   std::size_t wire_bytes) const {
+  if (!options_.flow_control) return true;
+  if (seq > credit_seq_limit_) return false;
+  // One frame always rides a quiet wire, however large.
+  return inflight_bytes_ == 0 ||
+         inflight_bytes_ + wire_bytes <= credit_bytes_window_;
+}
+
+void MessageSession::note_transmitted(std::uint64_t seq,
+                                      std::size_t wire_bytes) {
+  next_transmit_seq_ = seq + 1;
+  if (!options_.flow_control) return;  // unlimited credit keeps no ledger
+  inflight_.emplace_back(seq, static_cast<std::uint32_t>(wire_bytes));
+  inflight_bytes_ += wire_bytes;
+}
+
+Status MessageSession::pump() {
   for (;;) {
-    Status framed = extract_inbound_frame(out);
-    if (framed.code() != ErrorCode::kUnavailable) return framed;
     if (!channel_.is_open())
       return Status(ErrorCode::kIoError, "channel is closed");
-    Status pulled = channel_.recv_some(inbound_buf_);
-    if (pulled.is_ok()) continue;
-    if (pulled.code() != ErrorCode::kUnavailable) return pulled;
-    // Idle inbound: keep our own queue moving while we wait.
-    pump_send_queue();
+    // 1. A frame mid-wire owns the wire until its last byte.
+    if (midwire_.cursor != 0) {
+      const IoSlice rest[2] = {{midwire_.tail.data(), midwire_.offset},
+                               {midwire_.tail.data(), midwire_.tail.size()}};
+      Status sent = channel_.send_some(std::span<const IoSlice>(rest, 2),
+                                       midwire_.cursor);
+      XMIT_RETURN_IF_ERROR(sent);
+      midwire_.cursor = 0;
+      continue;
+    }
+    // 2. Credit-exempt control traffic.
+    if (!control_queue_.empty()) {
+      QueuedFrame& front = control_queue_.front();
+      const IoSlice slice = {front.frame.data(), front.frame.size()};
+      XMIT_RETURN_IF_ERROR(write_frame(std::span<const IoSlice>(&slice, 1),
+                                       FrameKind::kControl, 0, &front.frame));
+      control_queue_.pop_front();
+      continue;
+    }
+    // 3. Data, in sequence position.
+    QueuedFrame* front = send_queue_.empty() ? nullptr : &send_queue_.front();
+    if (front != nullptr && front->kind == FrameKind::kHistory) {
+      std::uint64_t seq = front->seq;
+      if (!load_held(seq, front->last, held_)) {
+        send_queue_.pop_front();
+        continue;
+      }
+      front->seq = seq;
+      if (reannounce(held_.format_id, seq)) continue;
+      XMIT_RETURN_IF_ERROR(
+          write_frame(held_.slices, FrameKind::kHistory, seq, nullptr));
+      ++replayed_records_;
+      if (++front->seq > front->last) send_queue_.pop_front();
+      continue;
+    }
+    if (front != nullptr && front->kind == FrameKind::kNotice) {
+      const IoSlice slice = {front->frame.data(), front->frame.size()};
+      XMIT_RETURN_IF_ERROR(write_frame(std::span<const IoSlice>(&slice, 1),
+                                       FrameKind::kNotice, front->seq,
+                                       &front->frame));
+      next_transmit_seq_ = std::max(next_transmit_seq_, front->seq + 1);
+      send_queue_.pop_front();
+      continue;
+    }
+    // A gap before the next queued record: records kSpillToLog dropped come
+    // back from the replay buffer or the log as the next data frames; ones
+    // held nowhere are skipped, and the receiver reports the gap.
+    const std::uint64_t due = front != nullptr ? front->seq : next_seq_;
+    if (next_transmit_seq_ < due) {
+      std::uint64_t seq = next_transmit_seq_;
+      if (!load_held(seq, due - 1, held_)) {
+        next_transmit_seq_ = due;
+        continue;
+      }
+      next_transmit_seq_ = seq;
+      if (!credit_allows(seq, 4 + held_.bytes)) return Status::ok();
+      if (reannounce(held_.format_id, seq)) continue;
+      XMIT_RETURN_IF_ERROR(
+          write_frame(held_.slices, FrameKind::kData, seq, nullptr));
+      note_transmitted(seq, 4 + held_.bytes);
+      continue;
+    }
+    if (front == nullptr) return Status::ok();  // drained
+    const std::size_t bytes = front->frame.size();
+    if (!credit_allows(front->seq, 4 + bytes)) return Status::ok();
+    if (reannounce(front->format_id, front->seq)) continue;
+    const IoSlice slice = {front->frame.data(), bytes};
+    XMIT_RETURN_IF_ERROR(write_frame(std::span<const IoSlice>(&slice, 1),
+                                     FrameKind::kData, front->seq,
+                                     &front->frame));
+    note_transmitted(front->seq, 4 + bytes);
+    --data_queue_records_;
+    data_queue_bytes_ -= bytes;
+    send_queue_.pop_front();
+  }
+}
+
+Status MessageSession::flush() {
+  // The deadline bounds a stall, not the flush: it restarts whenever a byte
+  // moves, so a long replay to a peer that keeps reading never times out.
+  const int deadline_ms = channel_.send_deadline_ms();
+  Stopwatch stalled;
+  std::size_t progress = wire_progress();
+  for (;;) {
+    Status pumped = pump();
+    if (pumped.code() != ErrorCode::kUnavailable) return pumped;
+    if (wire_progress() != progress) {
+      progress = wire_progress();
+      stalled.reset();
+    }
+    int wait_ms = -1;
+    if (deadline_ms >= 0) {
+      wait_ms = deadline_ms - static_cast<int>(stalled.elapsed_ms());
+      // A frame left mid-wire cannot be re-framed: the transport is dead.
+      if (wait_ms <= 0) {
+        note_transport_lost();
+        return Status(ErrorCode::kTimeout,
+                      "channel send deadline elapsed (peer not reading)");
+      }
+    }
+    channel_.poll_writable(wait_ms);
+  }
+}
+
+Status MessageSession::settle() {
+  Status sent = options_.flow_control ? pump() : flush();
+  return sent.code() == ErrorCode::kUnavailable ? Status::ok() : sent;
+}
+
+Status MessageSession::announce_frame(const pbio::Format& format,
+                                      std::uint64_t seq) {
+  announce_scratch_.clear();
+  announce_scratch_.append_byte(kTagFormat);
+  serialize_format(format, announce_scratch_);
+  // Never dropped: the announcement goes out ahead of the data that needs
+  // it (control frames precede queued data), whatever is mid-wire.
+  Status sent = emit_control(announce_scratch_.span(), /*droppable=*/false);
+  announced_.insert(format.id());
+  announce_seq_[format.id()] = seq;
+  if (sent.is_ok()) {
+    ++announcements_sent_;
+    metadata_bytes_sent_ += announce_scratch_.size();
+  }
+  return sent;
+}
+
+bool MessageSession::reannounce(pbio::FormatId id, std::uint64_t seq) {
+  if (id == 0 || announced_.contains(id)) return false;
+  auto format = registry_->by_id(id);
+  if (!format.is_ok()) return false;
+  (void)announce_frame(*format.value(), seq);  // a dead transport is noted
+  return true;
+}
+
+bool MessageSession::load_held(std::uint64_t& seq, std::uint64_t last,
+                               HeldFrame& out) {
+  constexpr std::uint64_t kNone = ~0ull;
+  const auto entry = std::lower_bound(
+      replay_.begin(), replay_.end(), seq,
+      [](const ReplayEntry& e, std::uint64_t s) { return e.seq < s; });
+  const std::uint64_t in_memory = entry == replay_.end() ? kNone : entry->seq;
+  const std::uint64_t on_disk =
+      durable_ && log_ != nullptr && !log_->empty() && seq <= log_->last_seq()
+          ? std::max(seq, log_->first_seq())
+          : kNone;
+  seq = std::min(in_memory, on_disk);
+  if (seq > last) return false;
+  if (seq == in_memory) {  // the buffer first: a hit costs no disk read
+    out.slices[0] = {entry->frame.data(), 0};
+    out.slices[1] = {entry->frame.data(), entry->frame.size()};
+    out.format_id = entry->format_id;
+  } else {
+    if (!read_log(seq)) return false;
+    store_record_head(out.head.data(), seq);
+    out.slices[0] = {out.head.data(), out.head.size()};
+    out.slices[1] = {log_item_.payload.data(), log_item_.payload.size()};
+    out.format_id = log_item_.format_id;
+  }
+  out.bytes = out.slices[0].size + out.slices[1].size;
+  return true;
+}
+
+bool MessageSession::read_log(std::uint64_t seq) {
+  // One cursor serves a whole sequential re-send; only a jump back or past
+  // its end opens another.
+  if (!log_cursor_ || log_item_.seq > seq || seq > log_cursor_->stop_seq()) {
+    log_cursor_.emplace(log_->read_from(seq));
+    log_item_ = {};
+  }
+  while (log_item_.seq < seq) {
+    auto more = log_cursor_->next(&log_item_);
+    if (!more.is_ok()) durable_error_ = more.status();
+    if (!more.is_ok() || !more.value()) {
+      log_cursor_.reset();
+      log_item_ = {};
+      return false;
+    }
+  }
+  return log_item_.seq == seq;
+}
+
+void MessageSession::clear_data_queue() {
+  // Every record owed to the wire is written, history, or given up; the
+  // in-flight ledger restarts clean.
+  send_queue_.clear();
+  data_queue_records_ = 0;
+  data_queue_bytes_ = 0;
+  next_transmit_seq_ = next_seq_;
+  inflight_.clear();
+  inflight_bytes_ = 0;
+}
+
+void MessageSession::drop_outbound() {
+  midwire_.cursor = 0;
+  control_queue_.clear();
+  clear_data_queue();
+}
+
+void MessageSession::reset_wire() {
+  if (midwire_.cursor != 0) {
+    if (midwire_.kind == FrameKind::kData &&
+        next_transmit_seq_ == midwire_.seq + 1) {
+      next_transmit_seq_ = midwire_.seq;
+      if (!inflight_.empty() && inflight_.back().first == midwire_.seq) {
+        inflight_bytes_ -= inflight_.back().second;
+        inflight_.pop_back();
+      }
+    } else if (midwire_.kind == FrameKind::kNotice) {
+      send_queue_.push_front(QueuedFrame{.kind = FrameKind::kNotice,
+                                         .seq = midwire_.seq,
+                                         .frame = std::move(midwire_.tail)});
+    } else if (midwire_.kind == FrameKind::kControl) {
+      // An announcement cut short must precede its data on the next wire.
+      control_queue_.push_front(
+          QueuedFrame{.frame = std::move(midwire_.tail)});
+    }
+    midwire_.cursor = 0;
+  }
+  std::erase_if(control_queue_, [](const QueuedFrame& frame) {
+    return frame.frame[0] == kTagHandshake ||
+           frame.frame[0] == kTagDurableRange ||
+           frame.frame[0] == kTagReplayRequest;
+  });
+  // Half-assembled inbound bytes died with the transport too.
+  inbound_pos_ = 0;
+  inbound_end_ = 0;
+}
+
+// --- the frame assembler -------------------------------------------------
+
+Result<bool> MessageSession::extract_inbound_frame(
+    std::vector<std::uint8_t>& out) {
+  const std::size_t avail = inbound_end_ - inbound_pos_;
+  if (avail < 4) return false;
+  const std::uint8_t* head = inbound_buf_.data() + inbound_pos_;
+  const std::uint32_t length =
+      load_with_order<std::uint32_t>(head, ByteOrder::kLittle);
+  if (length > limits_.max_message_bytes)
+    return Status(ErrorCode::kResourceExhausted,
+                  "inbound frame exceeds the session size limit");
+  if (avail < 4ull + length) return false;
+  out.assign(head + 4, head + 4 + length);
+  inbound_pos_ += 4 + length;
+  if (inbound_pos_ == inbound_end_) inbound_pos_ = inbound_end_ = 0;
+  return true;
+}
+
+Result<std::size_t> MessageSession::fill_inbound() {
+  constexpr std::size_t kMinRead = 16 * 1024;
+  constexpr std::size_t kInitialBytes = 64 * 1024;
+  // Room for the rest of the frame being assembled, and never less than a
+  // useful read. The buffer only grows, so reads zero-fill nothing.
+  const std::size_t avail = inbound_end_ - inbound_pos_;
+  std::size_t room = kMinRead;
+  if (avail >= 4) {
+    const std::size_t frame = 4 + load_with_order<std::uint32_t>(
+                                      inbound_buf_.data() + inbound_pos_,
+                                      ByteOrder::kLittle);
+    room = std::max(room, frame - avail);
+  }
+  if (inbound_buf_.size() - inbound_end_ < room) {
+    if (inbound_pos_ > 0) {  // slide the unconsumed bytes to the front
+      std::memmove(inbound_buf_.data(), inbound_buf_.data() + inbound_pos_,
+                   avail);
+      inbound_pos_ = 0;
+      inbound_end_ = avail;
+    }
+    if (inbound_buf_.size() - inbound_end_ < room)
+      inbound_buf_.resize(std::max(inbound_end_ + room, kInitialBytes));
+  }
+  XMIT_ASSIGN_OR_RETURN(
+      const std::size_t got,
+      channel_.recv_some(std::span<std::uint8_t>(inbound_buf_)
+                             .subspan(inbound_end_)));
+  inbound_end_ += got;
+  return got;
+}
+
+Status MessageSession::read_frame(std::vector<std::uint8_t>& out,
+                                  int timeout_ms) {
+  Stopwatch budget;
+  for (;;) {
+    XMIT_ASSIGN_OR_RETURN(const bool framed, extract_inbound_frame(out));
+    if (framed) return Status::ok();
+    if (!channel_.is_open())
+      return Status(ErrorCode::kIoError, "channel is closed");
+    auto pulled = fill_inbound();
+    if (!pulled.is_ok()) {
+      if (pulled.code() == ErrorCode::kNotFound &&
+          inbound_end_ > inbound_pos_)
+        return Status(ErrorCode::kIoError, "peer closed mid-frame");
+      return pulled.status();
+    }
+    if (pulled.value() > 0) continue;
+    // Idle inbound: keep our own writer moving while we wait.
+    if (receive_pumps()) (void)pump();
     if (!channel_.is_open())
       return Status(ErrorCode::kIoError, "channel is closed");
     const int remaining = timeout_ms - static_cast<int>(budget.elapsed_ms());
     if (remaining <= 0)
       return Status(ErrorCode::kTimeout, "session receive timeout");
-    channel_.poll_readable(std::min(remaining, 20));
+    channel_.poll_readable(receive_pumps() ? std::min(remaining, 20)
+                                           : remaining);
   }
 }
 
-void MessageSession::pump_send_queue() {
-  if (!options_.flow_control) return;
-  const auto on_failure = [this](const Status&) { note_transport_lost(); };
-  for (;;) {
-    if (!channel_.is_open()) return;  // queues wait for resume
-    // 1. A spill frame in flight (or freshly loaded) owns the wire.
-    if (spill_seq_ != 0) {
-      if (spill_cursor_ == 0 && inflight_bytes_ > 0 &&
-          inflight_bytes_ + 4 + spill_frame_.size() > credit_bytes_window_)
-        return;  // byte-starved; one frame rides a quiet wire
-      Status sent = channel_.send_some(spill_frame_, spill_cursor_);
-      if (sent.code() == ErrorCode::kUnavailable) return;
-      if (!sent.is_ok()) {
-        on_failure(sent);
-        return;
+bool MessageSession::absorb_control(std::span<const std::uint8_t> frame,
+                                    Status& status) {
+  if (frame.empty()) {
+    status = Status(ErrorCode::kParseError, "empty session frame");
+    return true;
+  }
+  const std::span<const std::uint8_t> payload = frame.subspan(1);
+  switch (frame[0]) {
+    case kTagPing:
+    case kTagPong:
+      if (payload.size() != kSeqBytes) {
+        status = Status(ErrorCode::kParseError, "bad ping/pong frame length");
+        return true;
       }
-      const std::size_t wire = 4 + spill_frame_.size();
-      inflight_.emplace_back(spill_seq_, static_cast<std::uint32_t>(wire));
-      inflight_bytes_ += wire;
-      next_transmit_seq_ = spill_seq_ + 1;
-      spill_seq_ = 0;
-      spill_cursor_ = 0;
-      spill_frame_.clear();
-      continue;
-    }
-    // 2. A partially written data-queue front must finish next: any other
-    // byte on the wire before its tail corrupts the framing.
-    if (!send_queue_.empty() && send_queue_.front().cursor > 0) {
-      QueuedFrame& front = send_queue_.front();
-      Status sent = channel_.send_some(front.frame, front.cursor);
-      if (sent.code() == ErrorCode::kUnavailable) return;
-      if (!sent.is_ok()) {
-        on_failure(sent);
-        return;
+      status = absorb_ack(word_at(payload, 0));
+      if (status.is_ok() && frame[0] == kTagPing && channel_.is_open()) {
+        (void)emit_control(word_frame(kTagPong, {last_seq_received_}).span(),
+                           /*droppable=*/true);
+        maybe_grant(/*force=*/true);  // a ping doubles as a credit probe
       }
-      if (front.control) {
-        next_transmit_seq_ = std::max(next_transmit_seq_, front.seq + 1);
-      } else {
-        const std::size_t wire = 4 + front.frame.size();
-        inflight_.emplace_back(front.seq, static_cast<std::uint32_t>(wire));
-        inflight_bytes_ += wire;
-        next_transmit_seq_ = front.seq + 1;
-        --data_queue_records_;
-        data_queue_bytes_ -= front.frame.size();
-      }
-      send_queue_.pop_front();
-      continue;
-    }
-    // 3. Credit-exempt control traffic: grants, heartbeats, announcements.
-    if (!control_queue_.empty()) {
-      QueuedFrame& front = control_queue_.front();
-      Status sent = channel_.send_some(front.frame, front.cursor);
-      if (sent.code() == ErrorCode::kUnavailable) return;
-      if (!sent.is_ok()) {
-        on_failure(sent);
-        return;
-      }
-      control_queue_.pop_front();
-      continue;
-    }
-    // 4. Fresh data, gated on the peer's credit.
-    if (send_queue_.empty()) {
-      // Spilled tail: everything still owed to the wire lives only in
-      // the durable log. Stream it back under the same credit gates.
-      if (next_transmit_seq_ >= next_seq_) return;  // drained
-      if (options_.slow_consumer != SlowConsumerPolicy::kSpillToLog ||
-          !durable_ || log_ == nullptr || log_->empty() ||
-          next_transmit_seq_ < log_->first_seq() ||
-          next_transmit_seq_ > log_->last_seq())
-        return;
-      if (next_transmit_seq_ > credit_seq_limit_) return;
-      Status loaded = load_spill_frame(next_transmit_seq_);
-      if (!loaded.is_ok()) {
-        if (!channel_.is_open()) on_failure(loaded);
-        return;
-      }
-      continue;
-    }
-    QueuedFrame& front = send_queue_.front();
-    if (!front.control && front.seq > next_transmit_seq_) {
-      // A gap before the front: records spilled to the log come back
-      // from disk first; records shed (their notice already completed)
-      // are skipped for good.
-      if (options_.slow_consumer == SlowConsumerPolicy::kSpillToLog &&
-          durable_ && log_ != nullptr && !log_->empty() &&
-          next_transmit_seq_ >= log_->first_seq() &&
-          next_transmit_seq_ <= log_->last_seq()) {
-        if (next_transmit_seq_ > credit_seq_limit_) return;
-        Status loaded = load_spill_frame(next_transmit_seq_);
-        if (!loaded.is_ok()) {
-          if (!channel_.is_open()) on_failure(loaded);
-          return;
-        }
-        continue;
-      }
-      next_transmit_seq_ = front.seq;
-    }
-    if (!front.control) {
-      if (front.seq > credit_seq_limit_) return;  // starved
-      if (inflight_bytes_ > 0 &&
-          inflight_bytes_ + 4 + front.frame.size() > credit_bytes_window_)
-        return;
-    }
-    Status sent = channel_.send_some(front.frame, front.cursor);
-    if (sent.code() == ErrorCode::kUnavailable) return;
-    if (!sent.is_ok()) {
-      on_failure(sent);
-      return;
-    }
-    if (front.control) {
-      next_transmit_seq_ = std::max(next_transmit_seq_, front.seq + 1);
-    } else {
-      const std::size_t wire = 4 + front.frame.size();
-      inflight_.emplace_back(front.seq, static_cast<std::uint32_t>(wire));
-      inflight_bytes_ += wire;
-      next_transmit_seq_ = front.seq + 1;
-      --data_queue_records_;
-      data_queue_bytes_ -= front.frame.size();
-    }
-    send_queue_.pop_front();
+      return true;
+    case kTagCredit:
+      status = process_credit(payload);
+      // Fresh credit may unblock queued data now.
+      if (status.is_ok() && options_.flow_control) (void)pump();
+      return true;
+    default:
+      return false;
   }
 }
 
 void MessageSession::poll_control() {
-  if (!options_.flow_control || !channel_.is_open()) return;
+  if (!options_.flow_control) return;
   // Parked frames are bounded: past this the caller must receive() before
   // we pull more off the wire, or a flooding peer grows us without limit.
   constexpr std::size_t kPendingFramesCap = 256;
-  for (;;) {
-    if (pending_frames_.size() >= kPendingFramesCap) return;
-    Status framed = extract_inbound_frame(poll_frame_);
-    if (framed.code() == ErrorCode::kUnavailable) {
-      Status pulled = channel_.recv_some(inbound_buf_);
-      if (pulled.is_ok()) continue;
-      if (pulled.code() == ErrorCode::kUnavailable) return;
-      if (resumable_)
+  while (channel_.is_open() && pending_frames_.size() < kPendingFramesCap) {
+    Status got = read_frame(poll_frame_, 0);
+    if (got.code() == ErrorCode::kTimeout) return;  // nothing waiting
+    if (!got.is_ok()) {
+      if (got.code() == ErrorCode::kResourceExhausted)
+        (void)note_malformed(got);  // oversized inbound frame
+      else if (resumable_)
         note_transport_lost();
       else
         channel_.close();
       return;
     }
-    if (!framed.is_ok()) {
-      (void)note_malformed(framed);
-      return;
-    }
     last_inbound_ms_ = clock_.elapsed_ms();
-    if (poll_frame_.empty()) {
-      (void)note_malformed(
-          Status(ErrorCode::kParseError, "empty session frame"));
+    Status absorbed;
+    if (absorb_control(poll_frame_, absorbed)) {
+      if (!absorbed.is_ok()) (void)note_malformed(absorbed);
       continue;
     }
-    std::span<const std::uint8_t> payload(poll_frame_.data() + 1,
-                                          poll_frame_.size() - 1);
-    switch (poll_frame_[0]) {
-      case kTagPong:
-      case kTagPing: {
-        if (payload.size() != kSeqBytes) {
-          (void)note_malformed(
-              Status(ErrorCode::kParseError, "bad ping/pong frame length"));
-          continue;
-        }
-        Status st = absorb_ack(load_with_order<std::uint64_t>(
-            payload.data(), ByteOrder::kLittle));
-        if (!st.is_ok()) {
-          (void)note_malformed(st);
-          continue;
-        }
-        if (poll_frame_[0] == kTagPing) {
-          std::uint8_t pong[1 + kSeqBytes];
-          pong[0] = kTagPong;
-          store_with_order<std::uint64_t>(pong + 1, last_seq_received_,
-                                          ByteOrder::kLittle);
-          enqueue_control(std::span<const std::uint8_t>(pong, sizeof(pong)),
-                          /*droppable=*/true);
-          maybe_grant(/*force=*/true);
-        }
-        continue;
-      }
-      case kTagCredit: {
-        Status st = process_credit(payload);
-        if (!st.is_ok()) {
-          (void)note_malformed(st);
-          continue;
-        }
-        pump_send_queue();  // fresh credit may unblock the queue now
-        continue;
-      }
-      default:
-        // Data, announcements, handshakes, shed notices: the receive path
-        // owns their semantics; park them in arrival order.
-        pending_frames_.push_back(poll_frame_);
-        continue;
-    }
+    // Data, announcements, handshakes, shed notices: the receive path owns
+    // their semantics; park them in arrival order.
+    pending_frames_.push_back(poll_frame_);
   }
 }
 
@@ -1040,43 +1107,38 @@ bool MessageSession::queue_over_watermark(std::size_t incoming_bytes) const {
 Status MessageSession::admit_record(std::size_t frame_bytes) {
   if (!options_.flow_control) return Status::ok();
   poll_control();
-  pump_send_queue();
+  (void)pump();
   if (!queue_over_watermark(frame_bytes)) return Status::ok();
   switch (options_.slow_consumer) {
     case SlowConsumerPolicy::kBlockWithDeadline: {
       Stopwatch wait;
+      const auto waited = [&](Status verdict) {
+        send_block_ms_ += wait.elapsed_ms();
+        return verdict;
+      };
       for (;;) {
         poll_control();
-        pump_send_queue();
-        if (!queue_over_watermark(frame_bytes)) {
-          send_block_ms_ += wait.elapsed_ms();
-          return Status::ok();
-        }
+        (void)pump();
+        if (!queue_over_watermark(frame_bytes)) return waited(Status::ok());
         if (closed_) return Status(ErrorCode::kIoError, "session closed");
         if (resumable_) {
           install_pending_attach();
           if (!channel_.is_open() && active()) {
             Status ready = ready_to_send();
-            if (!ready.is_ok()) {
-              send_block_ms_ += wait.elapsed_ms();
-              return ready;
-            }
+            if (!ready.is_ok()) return waited(ready);
           }
         }
         maybe_ping();
-        if (liveness_stale()) {
-          // Dead, not slow: nothing inbound for a whole liveness window
-          // while we were starved for credit.
-          send_block_ms_ += wait.elapsed_ms();
-          return Status(ErrorCode::kTimeout,
-                        "peer silent past the liveness deadline");
-        }
-        if (wait.elapsed_ms() >= options_.send_block_deadline_ms) {
-          send_block_ms_ += wait.elapsed_ms();
-          return Status(ErrorCode::kResourceExhausted,
-                        "send queue full: peer credit could not drain it "
-                        "within the block deadline (slow consumer)");
-        }
+        // Dead, not slow: nothing inbound for a whole liveness window
+        // while we were starved for credit.
+        if (liveness_stale())
+          return waited(Status(ErrorCode::kTimeout,
+                               "peer silent past the liveness deadline"));
+        if (wait.elapsed_ms() >= options_.send_block_deadline_ms)
+          return waited(
+              Status(ErrorCode::kResourceExhausted,
+                     "send queue full: peer credit could not drain it "
+                     "within the block deadline (slow consumer)"));
         if (channel_.is_open())
           channel_.poll_readable(1);
         else
@@ -1089,22 +1151,13 @@ Status MessageSession::admit_record(std::size_t frame_bytes) {
                       "send queue full and kSpillToLog has no healthy "
                       "durable log to fall back on");
       spill_queue();
-      pump_send_queue();
       return Status::ok();
     }
-    case SlowConsumerPolicy::kShedOldest: {
-      XMIT_RETURN_IF_ERROR(shed_queue());
-      pump_send_queue();
-      return Status::ok();
-    }
+    case SlowConsumerPolicy::kShedOldest:
+      return shed_queue();
     case SlowConsumerPolicy::kDisconnect: {
       note_transport_lost();
-      send_queue_.clear();
-      data_queue_records_ = 0;
-      data_queue_bytes_ = 0;
-      next_transmit_seq_ = next_seq_;
-      inflight_.clear();
-      inflight_bytes_ = 0;
+      drop_outbound();
       return Status(ErrorCode::kResourceExhausted,
                     "send queue hit its watermark; policy kDisconnect "
                     "dropped the transport");
@@ -1114,23 +1167,16 @@ Status MessageSession::admit_record(std::size_t frame_bytes) {
 }
 
 void MessageSession::spill_queue() {
-  // Every unstarted data frame is covered by the write-ahead log, so
-  // memory can let go of all of them: the ring is a cache, the log is the
-  // truth. The pump streams the gap back from disk as credit returns.
-  std::deque<QueuedFrame> kept;
-  bool at_front = true;
-  for (QueuedFrame& frame : send_queue_) {
-    const bool started = at_front && frame.cursor > 0;
-    at_front = false;
-    if (frame.control || started) {
-      kept.push_back(std::move(frame));
-      continue;
-    }
+  // Every queued data frame is covered by the write-ahead log, so memory
+  // can let go of all of them: the ring is a cache, the log is the truth.
+  // The writer re-sends the gap as the next data frames as credit returns.
+  std::erase_if(send_queue_, [this](const QueuedFrame& frame) {
+    if (frame.kind != FrameKind::kData) return false;
     ++records_spilled_;
     --data_queue_records_;
     data_queue_bytes_ -= frame.frame.size();
-  }
-  send_queue_ = std::move(kept);
+    return true;
+  });
 }
 
 Status MessageSession::shed_queue() {
@@ -1143,22 +1189,21 @@ Status MessageSession::shed_queue() {
       static_cast<double>(options_.send_queue_records) * watermark / 2);
   const auto byte_target = static_cast<std::size_t>(
       static_cast<double>(options_.send_queue_bytes) * watermark / 2);
+  const auto over_target = [&] {
+    return data_queue_records_ > record_target ||
+           data_queue_bytes_ > byte_target;
+  };
   std::size_t i = 0;
-  while ((data_queue_records_ > record_target ||
-          data_queue_bytes_ > byte_target) &&
-         i < send_queue_.size()) {
-    QueuedFrame& candidate = send_queue_[i];
-    if (candidate.control || candidate.cursor > 0) {
+  while (over_target() && i < send_queue_.size()) {
+    if (send_queue_[i].kind != FrameKind::kData) {
       ++i;
       continue;
     }
-    const std::uint64_t first = candidate.seq;
+    const std::uint64_t first = send_queue_[i].seq;
     std::uint64_t last = first;
-    while ((data_queue_records_ > record_target ||
-            data_queue_bytes_ > byte_target) &&
-           i < send_queue_.size()) {
+    while (over_target() && i < send_queue_.size()) {
       QueuedFrame& victim = send_queue_[i];
-      if (victim.control || victim.cursor > 0) break;
+      if (victim.kind != FrameKind::kData) break;
       if (victim.seq != last && victim.seq != last + 1) break;
       last = victim.seq;
       ++records_shed_;
@@ -1185,17 +1230,13 @@ Status MessageSession::shed_queue() {
 std::size_t MessageSession::splice_shed_notice(std::size_t index,
                                                std::uint64_t first,
                                                std::uint64_t last) {
-  QueuedFrame notice;
-  notice.seq = last;  // completion advances next_transmit_seq_ past it
-  notice.control = true;
-  notice.frame.resize(1 + kShedPayloadBytes);
-  notice.frame[0] = kTagShed;
-  store_with_order<std::uint64_t>(notice.frame.data() + 1, first,
-                                  ByteOrder::kLittle);
-  store_with_order<std::uint64_t>(notice.frame.data() + 9, last,
-                                  ByteOrder::kLittle);
-  send_queue_.insert(send_queue_.begin() + static_cast<std::ptrdiff_t>(index),
-                     std::move(notice));
+  const WordFrame frame = word_frame(kTagShed, {first, last});
+  // Sending it advances next_transmit_seq_ past `last`.
+  send_queue_.insert(
+      send_queue_.begin() + static_cast<std::ptrdiff_t>(index),
+      QueuedFrame{.kind = FrameKind::kNotice,
+                  .seq = last,
+                  .frame = {frame.bytes, frame.bytes + frame.size}});
   return index + 1;
 }
 
@@ -1209,68 +1250,45 @@ void MessageSession::append_shed_sidecar(std::uint64_t first,
   std::fclose(sidecar);
 }
 
-bool MessageSession::partial_in_flight() const {
-  return spill_cursor_ > 0 ||
-         (!control_queue_.empty() && control_queue_.front().cursor > 0) ||
-         (!send_queue_.empty() && send_queue_.front().cursor > 0);
-}
-
-Status MessageSession::flush_partials(int budget_ms) {
-  if (!options_.flow_control) return Status::ok();
-  Stopwatch budget;
-  for (;;) {
-    pump_send_queue();
-    if (!partial_in_flight()) return Status::ok();
-    if (!channel_.is_open()) return Status::ok();  // cursors were reset
-    const int remaining = budget_ms - static_cast<int>(budget.elapsed_ms());
-    if (remaining <= 0)
-      return Status(ErrorCode::kTimeout,
-                    "a partial frame could not be flushed within its "
-                    "budget (peer not reading)");
-    channel_.poll_writable(std::min(remaining, 20));
-  }
-}
-
-void MessageSession::note_queue_peaks() {
-  send_queue_depth_peak_ = std::max(send_queue_depth_peak_,
-                                    data_queue_records_);
-  send_queue_bytes_peak_ = std::max(send_queue_bytes_peak_,
-                                    data_queue_bytes_);
-}
-
-Status MessageSession::queue_record(pbio::FormatId format_id,
-                                    std::span<const IoSlice> payload) {
+Status MessageSession::send_record(pbio::FormatId format_id,
+                                   std::span<const IoSlice> payload) {
   if (!resumable_ && !channel_.is_open())
     return Status(ErrorCode::kIoError, "channel is closed");
-  std::size_t payload_bytes = 0;
-  for (const IoSlice& slice : payload) payload_bytes += slice.size;
   // Admission precedes sequencing and the WAL: a rejected send consumes
   // no sequence number and leaves no log hole to misread as loss.
-  XMIT_RETURN_IF_ERROR(admit_record(1 + kSeqBytes + payload_bytes));
+  XMIT_RETURN_IF_ERROR(admit_record(record_head_.size() + slices_bytes(payload)));
   const std::uint64_t seq = next_seq_++;
-  QueuedFrame queued;
-  queued.seq = seq;
-  queued.format_id = format_id;
-  queued.frame.reserve(1 + kSeqBytes + payload_bytes);
-  queued.frame.push_back(kTagRecord);
-  std::uint8_t seq_le[kSeqBytes];
-  store_with_order<std::uint64_t>(seq_le, seq, ByteOrder::kLittle);
-  queued.frame.insert(queued.frame.end(), seq_le, seq_le + kSeqBytes);
-  for (const IoSlice& slice : payload) {
-    const auto* bytes = static_cast<const std::uint8_t*>(slice.data);
-    queued.frame.insert(queued.frame.end(), bytes, bytes + slice.size);
-  }
-  if (resumable_) {
-    const IoSlice whole = {queued.frame.data(), queued.frame.size()};
-    buffer_for_replay(seq, format_id, std::span<const IoSlice>(&whole, 1));
-  }
+  store_record_head(record_head_.data(), seq);
+  frame_slices_.clear();
+  frame_slices_.push_back({record_head_.data(), record_head_.size()});
+  frame_slices_.insert(frame_slices_.end(), payload.begin(), payload.end());
+  if (resumable_) buffer_for_replay(seq, format_id, frame_slices_);
+  // Write-ahead: the record must be durable before it is transmitted —
+  // a send the log refused never reaches the wire.
   XMIT_RETURN_IF_ERROR(append_durable(seq, format_id, payload));
-  ++data_queue_records_;
-  data_queue_bytes_ += queued.frame.size();
-  send_queue_.push_back(std::move(queued));
-  note_queue_peaks();
-  ++records_sent_;
-  pump_send_queue();
+  Status sent = emit_record(seq, format_id, frame_slices_);
+  if (sent.is_ok()) sent = settle();
+  if (sent.is_ok()) {
+    ++records_sent_;
+    return sent;
+  }
+  if (!resumable_) {
+    // The write side is dead for good; the read side may still drain.
+    drop_outbound();
+    return sent;
+  }
+  note_transport_lost();
+  ++records_sent_;  // already in the replay buffer
+  // Liveness blind spot, closed: a send that blew the channel's bounded
+  // send deadline means the peer stopped reading for a whole liveness
+  // window. If nothing arrived inbound either, the peer is dead, not
+  // slow — surface the same verdict a silent receive would have.
+  if (sent.code() == ErrorCode::kTimeout && liveness_stale())
+    return Status(ErrorCode::kTimeout,
+                  "peer silent past the liveness deadline (send blocked "
+                  "past it with nothing inbound)");
+  if (active() && !channel_.is_open())
+    return reconnect(options_.liveness_deadline_ms);
   return Status::ok();
 }
 
@@ -1282,9 +1300,6 @@ Status MessageSession::announce(const pbio::Format& format) {
     // record encoded with the format can reach the log or the wire, so
     // a restart can always re-announce what it replays.
     XMIT_RETURN_IF_ERROR(catalog_put(format));
-    ByteBuffer frame;
-    frame.append_byte(kTagFormat);
-    serialize_format(format, frame);
     if (!channel_.is_open()) {
       // Passive and disconnected: the resume path re-announces anything
       // past the peer's ack, so just record intent.
@@ -1292,112 +1307,34 @@ Status MessageSession::announce(const pbio::Format& format) {
       announce_seq_[format.id()] = next_seq_;
       return Status::ok();
     }
-    if (options_.flow_control) {
-      // Queued, never dropped: the announcement rides the control queue
-      // ahead of the data that needs it (data waits on credit; control
-      // does not), without disturbing any partial frame mid-wire.
-      enqueue_control(frame.span(), /*droppable=*/false);
-      announced_.insert(format.id());
-      if (resumable_) announce_seq_[format.id()] = next_seq_;
-      ++announcements_sent_;
-      metadata_bytes_sent_ += frame.size();
-      return Status::ok();
-    }
-    Status sent = channel_.send(frame.span());
-    if (sent.is_ok()) {
-      announced_.insert(format.id());
-      if (resumable_) announce_seq_[format.id()] = next_seq_;
-      ++announcements_sent_;
-      metadata_bytes_sent_ += frame.size();
-      return Status::ok();
-    }
+    Status sent = announce_frame(format, next_seq_);
+    if (sent.is_ok()) sent = settle();
+    if (sent.is_ok()) return sent;
     if (!resumable_) return sent;
     note_transport_lost();
-    if (!active()) {
-      announced_.insert(format.id());
-      announce_seq_[format.id()] = next_seq_;
-      return Status::ok();
-    }
-    // Active: loop — ready_to_send reconnects, then the announcement is
-    // retried on the fresh transport.
+    // Passive: the resume path re-announces. Active: loop — ready_to_send
+    // reconnects, and the resume un-marks the announcement so it goes out
+    // again on the fresh transport.
+    if (!active()) return Status::ok();
   }
-}
-
-Status MessageSession::transmit_record(std::span<const IoSlice> slices) {
-  if (!channel_.is_open()) {
-    if (resumable_ && !active()) {
-      ++records_sent_;  // buffered; the resume path owes its delivery
-      return Status::ok();
-    }
-    return Status(ErrorCode::kIoError, "channel is closed");
-  }
-  Status sent = channel_.send_gather(slices);
-  if (sent.is_ok()) {
-    ++records_sent_;
-    return Status::ok();
-  }
-  if (!resumable_) return sent;
-  note_transport_lost();
-  ++records_sent_;  // already in the replay buffer
-  // Liveness blind spot, closed: a send that blew the channel's bounded
-  // send deadline means the peer stopped reading for a whole liveness
-  // window. If nothing arrived inbound either, the peer is dead, not
-  // slow — surface the same verdict a silent receive would have.
-  if (sent.code() == ErrorCode::kTimeout && liveness_stale())
-    return Status(ErrorCode::kTimeout,
-                  "peer silent past the liveness deadline (send blocked "
-                  "past it with nothing inbound)");
-  if (active()) return reconnect(options_.liveness_deadline_ms);
-  return Status::ok();
 }
 
 Status MessageSession::send(const pbio::Encoder& encoder, const void* record) {
   XMIT_RETURN_IF_ERROR(ready_to_send());
   XMIT_RETURN_IF_ERROR(announce(encoder.format()));
-  // Gather path: the encoder emits slices over pooled scratch, the
-  // tag+sequence header rides as the first slice, and the channel writes
-  // the lot with one sendmsg — no flattened frame copy, no allocation
-  // once pools are warm (replay buffering copies, but only when the
-  // session is resumable).
+  // Gather path: the encoder's slices over pooled scratch go to the wire
+  // behind the [tag | seq] head in one sendmsg, with no flattened copy.
   XMIT_RETURN_IF_ERROR(
       encoder.encode_iov(record, send_scratch_, send_slices_));
-  if (options_.flow_control)
-    return queue_record(encoder.format().id(), send_slices_);
-  const std::uint64_t seq = next_seq_++;
-  record_head_[0] = kTagRecord;
-  store_with_order<std::uint64_t>(record_head_.data() + 1, seq,
-                                  ByteOrder::kLittle);
-  send_slices_.insert(send_slices_.begin(),
-                      IoSlice{record_head_.data(), record_head_.size()});
-  if (resumable_)
-    buffer_for_replay(seq, encoder.format().id(), send_slices_);
-  // Write-ahead: the record must be durable before it is transmitted —
-  // a send the log refused never reaches the wire.
-  XMIT_RETURN_IF_ERROR(
-      append_durable(seq, encoder.format().id(),
-                     std::span<const IoSlice>(send_slices_).subspan(1)));
-  return transmit_record(send_slices_);
+  return send_record(encoder.format().id(), send_slices_);
 }
 
 Status MessageSession::send_encoded(const pbio::Format& format,
                                     std::span<const std::uint8_t> record) {
   XMIT_RETURN_IF_ERROR(ready_to_send());
   XMIT_RETURN_IF_ERROR(announce(format));
-  if (options_.flow_control) {
-    const IoSlice slice = {record.data(), record.size()};
-    return queue_record(format.id(), std::span<const IoSlice>(&slice, 1));
-  }
-  const std::uint64_t seq = next_seq_++;
-  record_head_[0] = kTagRecord;
-  store_with_order<std::uint64_t>(record_head_.data() + 1, seq,
-                                  ByteOrder::kLittle);
-  const IoSlice slices[2] = {{record_head_.data(), record_head_.size()},
-                             {record.data(), record.size()}};
-  const auto span2 = std::span<const IoSlice>(slices, 2);
-  if (resumable_) buffer_for_replay(seq, format.id(), span2);
-  XMIT_RETURN_IF_ERROR(
-      append_durable(seq, format.id(), span2.subspan(1)));
-  return transmit_record(span2);
+  const IoSlice slice = {record.data(), record.size()};
+  return send_record(format.id(), std::span<const IoSlice>(&slice, 1));
 }
 
 Result<MessageSession::Incoming> MessageSession::receive(int timeout_ms) {
@@ -1419,31 +1356,25 @@ Result<MessageSession::IncomingView> MessageSession::receive_view(
     if (resumable_) install_pending_attach();
     // Frames poll_control() parked while a send path drained the wire are
     // consumed first, in arrival order.
-    bool have_frame = false;
-    if (options_.flow_control && !pending_frames_.empty()) {
+    if (!pending_frames_.empty()) {
       recv_frame_ = std::move(pending_frames_.front());
       pending_frames_.pop_front();
-      have_frame = true;
-    }
-    if (!have_frame && !channel_.is_open()) {
+    } else if (!channel_.is_open()) {
       if (!resumable_)
         return Status(ErrorCode::kIoError, "channel is closed");
       const int remaining =
           timeout_ms - static_cast<int>(budget.elapsed_ms());
       XMIT_RETURN_IF_ERROR(await_transport(std::max(remaining, 0)));
       continue;
-    }
-    if (!have_frame) {
-      if (options_.flow_control) {
-        // A fresh receiver seeds the peer's credit before anything else
-        // can arrive — without this first grant a flow-controlled sender
-        // with no handshake in its life would starve forever.
-        if (credit_grants_sent_ == 0) maybe_grant(/*force=*/true);
-        pump_send_queue();
-      }
+    } else {
+      // A fresh flow-controlled receiver seeds the peer's credit before
+      // anything else can arrive — without this first grant a sender with
+      // no handshake in its life would starve forever.
+      if (credit_grants_sent_ == 0) maybe_grant(/*force=*/true);
+      if (receive_pumps()) (void)pump();
       int slice = std::max(
           timeout_ms - static_cast<int>(budget.elapsed_ms()), 0);
-      if (resumable_ || options_.flow_control) {
+      if (receive_pumps()) {
         // Wake often enough to heartbeat and to notice a blown liveness
         // deadline even when the caller's budget is generous.
         slice = std::min(slice, options_.heartbeat_interval_ms);
@@ -1452,14 +1383,10 @@ Result<MessageSession::IncomingView> MessageSession::receive_view(
             (clock_.elapsed_ms() - last_inbound_ms_);
         slice = std::min(slice, std::max(static_cast<int>(live_left), 0));
       }
-      Status got = options_.flow_control
-                       ? fc_receive_frame(recv_frame_, slice)
-                       : channel_.receive_into(recv_frame_, slice);
+      Status got = read_frame(recv_frame_, slice);
       if (!got.is_ok()) {
         if (got.code() == ErrorCode::kTimeout) {
-          if ((resumable_ || options_.flow_control) &&
-              clock_.elapsed_ms() - last_inbound_ms_ >=
-                  options_.liveness_deadline_ms)
+          if (receive_pumps() && liveness_stale())
             return Status(ErrorCode::kTimeout,
                           "peer silent past the liveness deadline");
           if (budget.elapsed_ms() >= timeout_ms) return got;
@@ -1473,19 +1400,17 @@ Result<MessageSession::IncomingView> MessageSession::receive_view(
           note_transport_lost();
           continue;
         }
-        if (options_.flow_control &&
-            got.code() == ErrorCode::kResourceExhausted)
+        if (got.code() == ErrorCode::kResourceExhausted)
           return note_malformed(got);  // oversized inbound frame
         return got;
       }
       last_inbound_ms_ = clock_.elapsed_ms();
     }
-    if (recv_frame_.empty())
-      return note_malformed(
-          Status(ErrorCode::kParseError, "empty session frame"));
-    if (recv_frame_.size() > limits_.max_message_bytes)
-      return note_malformed(Status(ErrorCode::kResourceExhausted,
-                                   "session frame exceeds size limit"));
+    Status absorbed;
+    if (absorb_control(recv_frame_, absorbed)) {
+      if (!absorbed.is_ok()) return note_malformed(absorbed);
+      continue;
+    }
     std::span<const std::uint8_t> payload(recv_frame_.data() + 1,
                                           recv_frame_.size() - 1);
     switch (recv_frame_[0]) {
@@ -1510,8 +1435,7 @@ Result<MessageSession::IncomingView> MessageSession::receive_view(
           return note_malformed(
               Status(ErrorCode::kParseError,
                      "record frame too short for its sequence number"));
-        const std::uint64_t seq = load_with_order<std::uint64_t>(
-            payload.data(), ByteOrder::kLittle);
+        const std::uint64_t seq = word_at(payload, 0);
         const std::span<const std::uint8_t> record =
             payload.subspan(kSeqBytes);
         if (seq <= last_seq_received_) {
@@ -1563,51 +1487,17 @@ Result<MessageSession::IncomingView> MessageSession::receive_view(
           // Our *reply or replay* write failed: transport trouble, not
           // peer hostility. A still-open channel means the peer
           // half-closed with frames in flight — keep draining it.
-          if (resumable_) {
-            if (!channel_.is_open()) note_transport_lost();
-            continue;
-          }
-          if (!channel_.is_open()) return st;
+          if (!resumable_ && !channel_.is_open()) return st;
           continue;
         }
         return note_malformed(st);
       }
-      case kTagPing:
-      case kTagPong: {
-        if (payload.size() != kSeqBytes)
-          return note_malformed(
-              Status(ErrorCode::kParseError, "bad ping/pong frame length"));
-        Status st = absorb_ack(load_with_order<std::uint64_t>(
-            payload.data(), ByteOrder::kLittle));
-        if (!st.is_ok()) return note_malformed(st);
-        if (recv_frame_[0] == kTagPing && channel_.is_open()) {
-          std::uint8_t pong[1 + kSeqBytes];
-          pong[0] = kTagPong;
-          store_with_order<std::uint64_t>(pong + 1, last_seq_received_,
-                                          ByteOrder::kLittle);
-          if (options_.flow_control) {
-            // Queue-safe pong; and a ping doubles as a credit probe.
-            enqueue_control(
-                std::span<const std::uint8_t>(pong, sizeof(pong)),
-                /*droppable=*/true);
-            maybe_grant(/*force=*/true);
-          } else {
-            Status sent = channel_.send(
-                std::span<const std::uint8_t>(pong, sizeof(pong)));
-            if (!sent.is_ok() && resumable_ && !channel_.is_open())
-              note_transport_lost();
-          }
-        }
-        continue;
-      }
       case kTagDurableRange: {
-        if (payload.size() != kDurableRangePayloadBytes)
+        if (payload.size() != 2 * kSeqBytes)
           return note_malformed(Status(ErrorCode::kParseError,
                                        "bad durable-range frame length"));
-        const std::uint64_t first = load_with_order<std::uint64_t>(
-            payload.data(), ByteOrder::kLittle);
-        const std::uint64_t last = load_with_order<std::uint64_t>(
-            payload.data() + 8, ByteOrder::kLittle);
+        const std::uint64_t first = word_at(payload, 0);
+        const std::uint64_t last = word_at(payload, 1);
         if (first == 0 || last < first)
           return note_malformed(Status(
               ErrorCode::kMalformedInput,
@@ -1621,8 +1511,7 @@ Result<MessageSession::IncomingView> MessageSession::receive_view(
         if (payload.size() != kSeqBytes)
           return note_malformed(Status(ErrorCode::kParseError,
                                        "bad replay-request frame length"));
-        const std::uint64_t from = load_with_order<std::uint64_t>(
-            payload.data(), ByteOrder::kLittle);
+        const std::uint64_t from = word_at(payload, 0);
         if (from == 0)
           return note_malformed(Status(ErrorCode::kMalformedInput,
                                        "replay request from sequence 0"));
@@ -1630,30 +1519,20 @@ Result<MessageSession::IncomingView> MessageSession::receive_view(
         // the request (the requester learns nothing arrived and moves
         // on) rather than guessing at records it no longer has.
         if (!durable_ || log_ == nullptr || log_->empty()) continue;
-        // The requester may be a brand-new subscriber that never saw
-        // our format announcements: forget what *we* announced so the
-        // stream re-sends every schema ahead of its data. Re-announcing
-        // to a peer that already knows a format is an idempotent no-op
-        // on its side.
+        // The requester may be a brand-new subscriber: forget what *we*
+        // announced so every schema goes out again ahead of its data (a
+        // re-announcement is an idempotent no-op for a peer that knows it).
         for (const auto& [fid, seq] : announce_seq_) announced_.erase(fid);
-        Status streamed =
-            stream_from_log(std::max(from, log_->first_seq()),
-                            log_->last_seq());
-        if (!streamed.is_ok()) {
-          if (resumable_ && (streamed.code() == ErrorCode::kIoError ||
-                             streamed.code() == ErrorCode::kNotFound)) {
-            if (!channel_.is_open()) note_transport_lost();
-            continue;
-          }
-          return streamed;
-        }
-        continue;
-      }
-      case kTagCredit: {
-        Status st = process_credit(payload);
-        if (!st.is_ok()) return note_malformed(st);
-        pump_send_queue();  // fresh credit may unblock queued data now
-        continue;
+        // The history goes out ahead of anything queued, credit-exempt.
+        queue_history(std::max(from, log_->first_seq()), log_->last_seq());
+        std::rotate(send_queue_.begin(), send_queue_.end() - 1,
+                    send_queue_.end());
+        Status streamed = flush();
+        if (streamed.is_ok() ||
+            (resumable_ && (streamed.code() == ErrorCode::kIoError ||
+                            streamed.code() == ErrorCode::kNotFound)))
+          continue;
+        return streamed;
       }
       case kTagShed: {
         Status st = process_shed(payload);
@@ -1700,30 +1579,23 @@ Result<std::size_t> MessageSession::receive_batch(const pbio::Format& receiver,
                                                   int timeout_ms) {
   if (max_records == 0)
     return Status(ErrorCode::kInvalidArgument, "receive_batch of 0 records");
-  if (!batch_decoder_) {
+  if (!batch_decoder_)
     batch_decoder_ = std::make_unique<pbio::BatchDecoder>(
-        *decoder_, options_.batch_decode_workers == 0
-                       ? 1
-                       : options_.batch_decode_workers);
-  }
+        *decoder_, std::max<std::size_t>(options_.batch_decode_workers, 1));
   if (batch_records_.size() < max_records) batch_records_.resize(max_records);
   batch_spans_.clear();
 
   // The first record is worth the caller's whole budget; everything after
   // it is pure drain — take only what the transport already holds.
-  XMIT_ASSIGN_OR_RETURN(auto first, receive_view(timeout_ms));
-  pin_batch_plan(first.sender_format, receiver);
-  batch_records_[0].assign(first.bytes.begin(), first.bytes.end());
-  batch_spans_.emplace_back(batch_records_[0].data(),
-                            batch_records_[0].size());
   while (batch_spans_.size() < max_records) {
-    auto more = receive_view(0);
+    auto more = receive_view(batch_spans_.empty() ? timeout_ms : 0);
     if (!more.is_ok()) {
       const ErrorCode code = more.status().code();
       // Drain exhausted (or the peer went away mid-drain): decode what we
       // have; a close/liveness condition resurfaces on the next call.
-      if (code == ErrorCode::kTimeout || code == ErrorCode::kNotFound ||
-          code == ErrorCode::kIoError)
+      if (!batch_spans_.empty() &&
+          (code == ErrorCode::kTimeout || code == ErrorCode::kNotFound ||
+           code == ErrorCode::kIoError))
         break;
       return more.status();
     }
@@ -1742,9 +1614,7 @@ Result<std::size_t> MessageSession::receive_batch(const pbio::Format& receiver,
 
 Result<SessionPair> make_session_pipe(pbio::FormatRegistry& registry_a,
                                       pbio::FormatRegistry& registry_b) {
-  XMIT_ASSIGN_OR_RETURN(auto pipe, net::Channel::pipe());
-  return SessionPair{MessageSession(std::move(pipe.first), registry_a),
-                     MessageSession(std::move(pipe.second), registry_b)};
+  return make_session_pipe(registry_a, registry_b, SessionOptions{});
 }
 
 Result<SessionPair> make_session_pipe(pbio::FormatRegistry& registry_a,

@@ -25,7 +25,29 @@
 // state all survive a reconnect: a hostile peer cannot launder its
 // reputation by dropping the connection.
 //
-// Frame format: [1-byte tag | payload]
+// Durable sessions (SessionOptions::durable_dir) extend resumability
+// past process death: every outgoing record is appended to an fsynced
+// write-ahead RecordLog *before* transmission, every announced format is
+// persisted to a FormatCatalog, and the (session id, epoch) identity
+// lives in an atomically-replaced meta file. A restarted sender reopens
+// the directory, recovers its identity, formats and full send history,
+// and resumes the same session — the receiver sees a normal epoch bump
+// followed by an at-least-once replay its dedup already handles.
+//
+// One writer, one assembler. Every outgoing frame (records,
+// announcements, handshakes, heartbeats, grants, adverts, replay requests
+// and replays) goes through one routine: it finishes the single frame
+// allowed to be partially on the wire, then writes the new frame straight
+// from the caller's gather slices without blocking; only what cannot go
+// at once is queued. Control frames may pass queued data; records go out
+// in sequence order as the peer's credit allows. A session that does not
+// honour grants (no flow_control) simply has unlimited credit, and its
+// send() flushes, returning with the record on the wire. Every inbound
+// frame is re-assembled from a byte buffer, so a receive that times out
+// mid-frame keeps the bytes it already read.
+//
+// Frame format: [1-byte tag | payload], each frame carried behind the
+// channel's u32 little-endian length prefix; integers little-endian.
 //   tag 0x01  format announcement (pbio/format_wire serialization)
 //   tag 0x02  data record: [u64 LE sequence number | PBIO wire record]
 //   tag 0x03  handshake: [u8 flags | u64 session id | u32 epoch |
@@ -55,15 +77,6 @@
 //             inclusive seq range it dropped, in-stream and in order, so
 //             the receiver's dedup window advances without a phantom
 //             kDataLoss gap and shed accounting stays exact on both ends.
-//
-// Durable sessions (SessionOptions::durable_dir) extend resumability
-// past process death: every outgoing record is appended to an fsynced
-// write-ahead RecordLog *before* transmission, every announced format is
-// persisted to a FormatCatalog, and the (session id, epoch) identity
-// lives in an atomically-replaced meta file. A restarted sender reopens
-// the directory, recovers its identity, formats and full send history,
-// and resumes the same session — the receiver sees a normal epoch bump
-// followed by an at-least-once replay its dedup already handles.
 #pragma once
 
 #include <array>
@@ -136,12 +149,14 @@ struct SessionOptions {
   storage::FsyncPolicy durable_fsync = storage::FsyncPolicy::kAlways;
   std::uint64_t durable_segment_bytes = 8u << 20;
   std::size_t durable_retention_segments = 0;  // 0 = keep everything
-  // Flow control: sends enqueue into a bounded per-session queue drained
-  // against tag-0x08 credit via nonblocking writes — a send never blocks
-  // indefinitely on a slow peer. Both ends of a session should enable it
-  // (a flow-controlled sender facing a peer that never grants credit is,
-  // by definition, facing the zero-credit persona and applies its
-  // SlowConsumerPolicy).
+  // Flow control: send and honour tag-0x08 credit grants. A send queues
+  // what credit does not yet cover (a bounded per-session queue drained
+  // with nonblocking writes) and never blocks indefinitely on a slow peer;
+  // at the watermark the SlowConsumerPolicy decides. Without it the
+  // session has unlimited credit and sends no grants. Both ends should
+  // enable it (a flow-controlled sender facing a peer that never grants
+  // credit is, by definition, facing the zero-credit persona and applies
+  // its SlowConsumerPolicy).
   bool flow_control = false;
   SlowConsumerPolicy slow_consumer = SlowConsumerPolicy::kBlockWithDeadline;
   std::size_t send_queue_records = 256;      // hard queue bound (records)
@@ -168,13 +183,13 @@ class MessageSession {
  public:
   // The session shares `registry`: announcements from the peer are
   // adopted into it; outgoing formats are announced from it.
-  MessageSession(net::Channel channel, pbio::FormatRegistry& registry);
-
-  // Passive resumable flavour: runs over `channel` until it dies, then
-  // waits (bounded by the liveness deadline) for a replacement to arrive
-  // via attach() — the acceptor side of a reconnecting pair.
+  //
+  // With options.resumable this is the passive resumable flavour: it runs
+  // over `channel` until it dies, then waits (bounded by the liveness
+  // deadline) for a replacement to arrive via attach() — the acceptor side
+  // of a reconnecting pair.
   MessageSession(net::Channel channel, pbio::FormatRegistry& registry,
-                 SessionOptions options);
+                 SessionOptions options = {});
 
   // Active resumable flavour: dials `endpoint` on first use and re-dials
   // it whenever the transport dies. Always resumable.
@@ -199,6 +214,9 @@ class MessageSession {
   // header (plus the slot-patched fixed section for var-bearing formats)
   // and performs no heap allocation. Resumable sessions additionally copy
   // the frame into the bounded replay buffer until the peer acks it.
+  // Without flow control the record is on the wire when send() returns
+  // (kTimeout if the peer stops reading for a whole send deadline); with
+  // it, what credit does not cover waits in the send queue.
   Status send(const pbio::Encoder& encoder, const void* record);
 
   // Sends an already-encoded record belonging to `format`.
@@ -226,10 +244,12 @@ class MessageSession {
   // Next data record; format announcements, handshakes and ping/pong are
   // consumed transparently. kNotFound = peer closed cleanly (non-resumable
   // only), kTimeout = deadline elapsed, kDataLoss = a sequence gap the
-  // peer's replay buffer could not cover (reported once per gap).
-  // Truncated or corrupted frames (a peer dying mid-record) surface as
-  // clean kParseError/kOutOfRange statuses — the session object stays
-  // usable and counts them in malformed_frames().
+  // peer's replay buffer could not cover (reported once per gap). A
+  // timeout that falls mid-frame keeps the bytes already read: the next
+  // call completes the frame, so the stream stays framed. Truncated or
+  // corrupted frames (a peer dying mid-record) surface as clean
+  // kParseError/kOutOfRange statuses — the session object stays usable
+  // and counts them in malformed_frames().
   //
   // Resumable sessions do not surface transport deaths at all: the loop
   // reconnects (active) or waits for attach() (passive) and keeps
@@ -351,18 +371,19 @@ class MessageSession {
   // High-water marks since the session started: the bounded-memory proof.
   std::size_t send_queue_depth_peak() const { return send_queue_depth_peak_; }
   std::size_t send_queue_bytes_peak() const { return send_queue_bytes_peak_; }
-  // Queued records dropped from memory in favour of the durable log
-  // (kSpillToLog) — none of them is lost; the log streams them back.
+  // Records dropped from memory under kSpillToLog (none is lost), and
+  // dropped for good under kShedOldest (each named in a 0x09 notice;
+  // peer_shed_records() sums the notices received).
   std::size_t records_spilled() const { return records_spilled_; }
-  // Records dropped for good under kShedOldest, each one named to the
-  // peer in a tag-0x09 notice.
   std::size_t records_shed() const { return records_shed_; }
-  // Records the *peer* told us it shed (sum of 0x09 ranges received).
   std::uint64_t peer_shed_records() const { return peer_shed_records_; }
   // Total time sends spent blocked waiting for queue room or credit.
   double send_block_ms() const { return send_block_ms_; }
 
  private:
+  MessageSession(net::Channel channel, net::Endpoint endpoint,
+                 pbio::FormatRegistry& registry, SessionOptions options);
+
   // One unacknowledged outgoing frame, kept until the peer's ack covers
   // its sequence number (or the bounded buffer evicts it).
   struct ReplayEntry {
@@ -395,13 +416,11 @@ class MessageSession {
   bool active() const { return endpoint_.can_dial(); }
   void install_pending_attach();
   void note_transport_lost();
-  // Installs any attached channel; active sessions with a dead transport
-  // reconnect here. Passive sessions return OK even when disconnected —
-  // their sends buffer into the replay queue until the peer resumes.
+  // Installs any attached channel; active sessions reconnect here. Passive
+  // ones return OK while disconnected: sends buffer until the peer resumes.
   Status ready_to_send();
-  // Blocks (bounded by budget_ms and the liveness deadline) until a
-  // transport is live again: redials for active sessions, waits for
-  // attach() for passive ones.
+  // Blocks (within budget_ms and the liveness deadline) until a transport
+  // is live again: redials (active) or waits for attach() (passive).
   Status await_transport(int budget_ms);
   Status reconnect(int budget_ms);
   Status send_handshake(bool initiate);
@@ -409,36 +428,112 @@ class MessageSession {
   // Validates and absorbs a peer ack (their last-seq-received): trims the
   // replay buffer and advances peer_acked_seq_.
   Status absorb_ack(std::uint64_t last_seq);
-  // Re-sends every buffered frame past peer_acked_seq_, lazily
-  // re-announcing each format whose announcement the peer may have lost.
+  // Rebuilds the data queue after a resume: every unacked record goes out
+  // again as credit-exempt history, queued shed notices keep their
+  // sequence position, and the writer is flushed.
   Status replay_unacked();
   void maybe_ping();
   // Appends a full wire frame to the replay buffer (resumable only) and
   // evicts from the front to stay within the configured bounds.
   void buffer_for_replay(std::uint64_t seq, pbio::FormatId format_id,
                          std::span<const IoSlice> slices);
-  // Wire-writes one already-sequenced record frame, applying the
-  // resumable failure policy (buffered passively / reconnect actively).
-  Status transmit_record(std::span<const IoSlice> slices);
-  // Flow-controlled send tail: admission control, sequencing, WAL, then
-  // the bounded queue — the pump owns the wire from here.
-  Status queue_record(pbio::FormatId format_id,
-                      std::span<const IoSlice> payload);
+  // The tail every record send shares: admission, sequencing, replay
+  // buffer, write-ahead log, then the writer — and, for a session with
+  // unlimited credit, a flush so send() returns with the record written.
+  Status send_record(pbio::FormatId format_id,
+                     std::span<const IoSlice> payload);
+
+  // --- the writer (DESIGN.md §5h) --------------------------------------
+  enum class FrameKind : std::uint8_t {
+    kControl,  // credit-exempt; may pass queued data
+    kData,     // a sequenced record; needs credit
+    kNotice,   // a 0x09 shed notice in data position; credit-exempt
+    kHistory,  // records re-sent from the replay buffer or the log after a
+               // resume or a replay request; credit-exempt
+  };
+  struct QueuedFrame {
+    FrameKind kind = FrameKind::kControl;
+    // kData: its seq; kNotice: the shed range's last seq; kHistory: the
+    // next seq to re-send, up to `last`.
+    std::uint64_t seq = 0;
+    std::uint64_t last = 0;
+    pbio::FormatId format_id = 0;  // kData
+    std::vector<std::uint8_t> frame;  // frame payload, tag first
+  };
+  // The one frame partially on the wire: its payload from `offset` on (a
+  // control frame is kept whole, so a dead transport can re-queue it).
+  struct MidWire {
+    FrameKind kind = FrameKind::kControl;
+    std::uint64_t seq = 0;
+    std::vector<std::uint8_t> tail;
+    std::size_t offset = 0;
+    std::size_t cursor = 0;  // wire bytes written; 0 = nothing mid-wire
+  };
+  // A record to re-send: a replay-buffer entry, or a logged record.
+  struct HeldFrame {
+    std::array<std::uint8_t, 9> head{};
+    std::array<IoSlice, 2> slices{};
+    std::size_t bytes = 0;
+    pbio::FormatId format_id = 0;
+  };
+  // The only routine that starts a frame on the wire. OK = committed (all
+  // written, or the unwritten tail kept in midwire_ — moved from `owned`
+  // when given, else copied, whole for a control frame); kUnavailable =
+  // nothing written.
+  Status write_frame(std::span<const IoSlice> frame, FrameKind kind,
+                     std::uint64_t seq, std::vector<std::uint8_t>* owned);
+  // Writes at once when nothing is ahead, else queues. A droppable frame
+  // (ping, pong, grant) is skipped when the control queue is full; a
+  // must-deliver one whose transport died under it waits for the next.
+  Status emit_control(std::span<const std::uint8_t> frame, bool droppable);
+  Status emit_record(std::uint64_t seq, pbio::FormatId format_id,
+                     std::span<const IoSlice> frame);
+  // Mid-wire frame, control frames, then data as credit allows. OK = no
+  // more can go now; kUnavailable = the socket would block.
+  Status pump();
+  // pump() until no more can go; the channel's send deadline bounds each
+  // stall (time without a byte written), not the whole flush.
+  Status flush();
+  // Grows with every byte written on this transport.
+  std::size_t wire_progress() const {
+    return channel_.bytes_sent() + midwire_.cursor;
+  }
+  // How a send ends: with unlimited credit its frames are on the wire
+  // (flush); with flow control the queue carries them as credit allows.
+  Status settle();
+  // Sends one announcement; `seq` is the first record that may need it.
+  Status announce_frame(const pbio::Format& format, std::uint64_t seq);
+  // Schema ahead of data on re-sends: true when `id` went out first.
+  bool reannounce(pbio::FormatId id, std::uint64_t seq);
+  // The first record in [seq, last] the replay buffer or the log holds.
+  bool load_held(std::uint64_t& seq, std::uint64_t last, HeldFrame& out);
+  bool read_log(std::uint64_t seq);
+  void queue_history(std::uint64_t first, std::uint64_t last);
+  bool credit_allows(std::uint64_t seq, std::size_t wire_bytes) const;
+  void note_transmitted(std::uint64_t seq, std::size_t wire_bytes);
+  // A new transport: a record mid-wire rewinds the transmit cursor, a
+  // notice mid-wire is re-queued, and handshakes, adverts and requests
+  // queued for the old transport are dropped.
+  void reset_wire();
+  void clear_data_queue();
+  void drop_outbound();  // kDisconnect, or a write side dead for good
+  // A plain session leaves its writer to the thread that sends, so one
+  // thread may send while another receives.
+  bool receive_pumps() const { return resumable_ || options_.flow_control; }
+
+  // --- the frame assembler --------------------------------------------
+  // Next complete frame out of inbound_buf_, reading as needed; a timeout
+  // mid-frame keeps the bytes already read.
+  Status read_frame(std::vector<std::uint8_t>& out, int timeout_ms);
+  // false = more bytes needed; kResourceExhausted = oversized frame.
+  Result<bool> extract_inbound_frame(std::vector<std::uint8_t>& out);
+  // Bytes read into inbound_buf_'s spare end; 0 = nothing waiting.
+  Result<std::size_t> fill_inbound();
+  // Empty frames, pings, pongs and credit grants, absorbed in place by
+  // both inbound paths; false for any other frame.
+  bool absorb_control(std::span<const std::uint8_t> frame, Status& status);
 
   // --- flow-control machinery -----------------------------------------
-  // One queued outgoing frame. Control frames (announcements, heartbeats,
-  // grants, shed notices) are credit-exempt; droppable ones (heartbeats,
-  // grants) may be skipped when the control queue is full, because a
-  // fresher copy always follows. `cursor` is the nonblocking
-  // partial-write resumption offset into the wire image.
-  struct QueuedFrame {
-    std::uint64_t seq = 0;  // data seq; for a shed notice, the range end
-    pbio::FormatId format_id = 0;
-    bool control = false;
-    std::size_t cursor = 0;
-    std::vector<std::uint8_t> frame;  // complete frame payload, tag first
-  };
-
   // Validates and applies a peer 0x08 credit grant. Order: length, zero
   // windows, absurd windows, u64 reach wrap, reach rollback, then the
   // ack itself — hostile values never touch credit state.
@@ -446,86 +541,51 @@ class MessageSession {
   // Validates a peer 0x09 shed notice and advances the dedup window.
   // Returns kDataLoss only for records lost *silently* before the range.
   Status process_shed(std::span<const std::uint8_t> payload);
-  // Receiver role: advertise [last_seq_received_, windows] when forced
-  // (handshake, ping) or when half the window has drained since the last
-  // grant.
+  // Receiver role: grant when forced (handshake, ping) or when half the
+  // window has drained since the last grant.
   void maybe_grant(bool force);
-  // Queues a control frame and lets the pump try to flush it. Returns
-  // false when a droppable frame was skipped (control queue full).
-  bool enqueue_control(std::span<const std::uint8_t> frame, bool droppable);
-  // Rebuilds the tag-0x02 frame for `seq` from the durable log into
-  // spill_frame_ (kSpillToLog streaming).
-  Status load_spill_frame(std::uint64_t seq);
-  // Flow-controlled inbound path: frames are re-assembled from a raw
-  // nonblocking byte stream (Channel::recv_some), so the send paths can
-  // drain acks/credit without ever blocking mid-frame. Blocking
-  // receive_into and this assembler must never mix on one transport.
-  Status fc_receive_frame(std::vector<std::uint8_t>& out, int timeout_ms);
-  // Pops the next complete frame out of inbound_buf_ if one is ready.
-  // Returns kUnavailable when more bytes are needed.
-  Status extract_inbound_frame(std::vector<std::uint8_t>& out);
-  // Drains control then data queues as far as the socket and the peer's
-  // credit allow. Nonblocking: a would-block socket parks the frame at
-  // its cursor. Starvation is not an error; transport deaths follow the
-  // resumable policy (so the pump has no status to return).
-  void pump_send_queue();
-  // Nonblocking inbound sweep used by send paths and the block-wait loop:
-  // absorbs acks/credit/pings in place, parks everything else for the
-  // next receive_view. Keeps last_inbound_ms_ honest while sending.
+  // Nonblocking inbound sweep for the send paths: absorbs acks, credit and
+  // pings, parks everything else for the next receive_view.
   void poll_control();
-  // Admission control, run BEFORE a sequence number is assigned or the
-  // WAL appends: applies the SlowConsumerPolicy at the soft watermark so
-  // a rejected send consumes no seq and leaves no log hole.
+  // Applies the SlowConsumerPolicy at the watermark, before a sequence
+  // number or a WAL append is spent, so a rejected send leaves no hole.
   Status admit_record(std::size_t frame_bytes);
   bool queue_over_watermark(std::size_t incoming_bytes) const;
-  // kSpillToLog: drop queued, unstarted data frames — the WAL holds them;
-  // the pump streams them back from disk when credit returns.
+  // kSpillToLog: drop queued data frames — the WAL holds them, and the
+  // writer re-sends them from there as the next data frames.
   void spill_queue();
-  // kShedOldest: drop the oldest unstarted data frames, splice tag-0x09
+  // kShedOldest: drop the oldest queued data frames, splice tag-0x09
   // notices in their place, scrub them from the replay buffer, count.
   Status shed_queue();
-  // Inserts a 0x09 notice for [first, last] at `index` in the data queue
-  // (so it precedes every surviving later record); returns the index just
-  // past the notice.
+  // Inserts a 0x09 notice for [first, last] at `index` in the data queue,
+  // ahead of every surviving later record; returns the index past it.
   std::size_t splice_shed_notice(std::size_t index, std::uint64_t first,
                                  std::uint64_t last);
   // Durable sheds leave an auditable trace beside the log segments.
   void append_shed_sidecar(std::uint64_t first, std::uint64_t last);
-  // True when a partial frame is mid-wire (no other bytes may interleave).
-  bool partial_in_flight() const;
-  // Drives any partial frame to completion (bounded); direct writes
-  // (handshake replies, replay) are only legal once this succeeds.
-  Status flush_partials(int budget_ms);
-  void reset_partial_cursors();
   bool liveness_stale() const {
     return clock_.elapsed_ms() - last_inbound_ms_ >=
            options_.liveness_deadline_ms;
   }
-  void note_queue_peaks();
   // Arms the channel-level send deadline on every transport this session
   // adopts, so a blocked send can never outlive the liveness deadline.
   void configure_transport();
 
   // --- durability machinery -------------------------------------------
   // Opens log + catalog + meta under options_.durable_dir; failures land
-  // in durable_error_ (constructors cannot fail) and surface on first
-  // send/announce/connect.
+  // in durable_error_ and surface on first send/announce/connect.
   void init_durability();
   // Atomically persists (session id, epoch); called before any handshake
   // that presents a changed identity.
   Status persist_meta();
-  // Write-ahead step of send: appends the record to the log (slices
-  // exclude the 9-byte tag+seq head — seq and format id live in the
-  // frame header). Fails, and keeps failing, once the log is poisoned.
+  // Write-ahead step of send (slices exclude the [tag | seq] head). Fails,
+  // and keeps failing, once the log is poisoned.
   Status append_durable(std::uint64_t seq, pbio::FormatId format_id,
                         std::span<const IoSlice> slices);
   // Persists a format to the catalog (no-op when not durable / known).
   Status catalog_put(const pbio::Format& format);
   // Advertises [first, last] of the local log after a handshake.
   Status send_durable_advert();
-  // Re-sends logged records in [from, to] as tag-0x02 frames with their
-  // original seqs, re-announcing formats the peer may not know.
-  Status stream_from_log(std::uint64_t from, std::uint64_t to);
 
   net::Channel channel_;
   net::Endpoint endpoint_;  // non-dialable for passive/plain sessions
@@ -558,8 +618,10 @@ class MessageSession {
   // allocations), contents are per-call.
   ByteBuffer send_scratch_;
   std::vector<IoSlice> send_slices_;
+  std::vector<IoSlice> frame_slices_;  // [tag | seq] head + record payload
+  std::array<std::uint8_t, 9> record_head_{};
+  ByteBuffer announce_scratch_;
   std::vector<std::uint8_t> recv_frame_;
-  std::array<std::uint8_t, 9> record_head_{};  // [tag | u64 LE seq]
   // Send-side sequencing and the bounded replay window.
   std::uint64_t next_seq_ = 1;
   std::uint64_t peer_acked_seq_ = 0;
@@ -585,18 +647,18 @@ class MessageSession {
   bool eviction_logged_ = false;
   std::uint64_t peer_durable_first_ = 0;
   std::uint64_t peer_durable_last_ = 0;
-  // Flow-control state. The data queue holds sequenced records (plus
-  // in-position shed notices); the control queue holds credit-exempt
-  // frames that may safely go out earlier than anything queued behind
-  // them. At most one frame across both queues (or the spill stream) is
-  // partially written at any time.
+  // Writer state. The data queue holds sequenced records, in-position
+  // shed notices and history ranges; the control queue holds credit-exempt
+  // frames that may go out earlier than anything queued behind them. At
+  // most one frame, across both queues and direct writes, is mid-wire.
+  MidWire midwire_;
   std::deque<QueuedFrame> control_queue_;
   std::deque<QueuedFrame> send_queue_;
   std::size_t data_queue_records_ = 0;
   std::size_t data_queue_bytes_ = 0;
-  std::vector<std::uint8_t> spill_frame_;  // record re-read from the log
-  std::size_t spill_cursor_ = 0;
-  std::uint64_t spill_seq_ = 0;  // 0 = no spill frame in flight
+  HeldFrame held_;  // the record a re-send is writing right now
+  std::optional<storage::RecordLog::Cursor> log_cursor_;
+  storage::RecordLog::Item log_item_;  // the cursor's current record
   std::uint64_t next_transmit_seq_ = 1;  // next data seq owed to the wire
   std::uint64_t credit_seq_limit_ = 0;   // cumulative transmit allowance
   std::uint64_t credit_bytes_window_ = 0;
@@ -604,12 +666,15 @@ class MessageSession {
   std::deque<std::pair<std::uint64_t, std::uint32_t>> inflight_;
   std::uint64_t inflight_bytes_ = 0;
   std::uint64_t last_grant_ack_ = 0;  // receiver: ack in our last grant
-  // Data/announce frames poll_control() pulled off the wire while a send
-  // path was draining acks; receive_view consumes these first.
+  // Reader state. Data/announce frames poll_control() pulled off the wire
+  // while a send path was draining acks; receive_view consumes these
+  // first. inbound_buf_ keeps its size across reads — bytes
+  // [inbound_pos_, inbound_end_) await re-framing.
   std::deque<std::vector<std::uint8_t>> pending_frames_;
   std::vector<std::uint8_t> poll_frame_;
-  std::vector<std::uint8_t> inbound_buf_;  // raw bytes awaiting re-framing
+  std::vector<std::uint8_t> inbound_buf_;
   std::size_t inbound_pos_ = 0;
+  std::size_t inbound_end_ = 0;
   std::size_t credit_grants_sent_ = 0;
   std::size_t credit_grants_received_ = 0;
   std::size_t send_queue_depth_peak_ = 0;

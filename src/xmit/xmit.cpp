@@ -163,6 +163,9 @@ SetLoadReport Xmit::install_set_entries(const std::string& url,
     return report;
   }
   report.entries = entries.value().size();
+  // The set's cost is every installed entry's parse, translate and
+  // register work, not just the last one's.
+  LoadStats total;
   for (const SetEntry& entry : entries.value()) {
     if (entry.kind == SetEntryKind::kSchemaDocument) {
       std::string_view text(
@@ -172,10 +175,15 @@ SetLoadReport Xmit::install_set_entries(const std::string& url,
       // per-document refresh loop skips them; the SET refresh covers them.
       auto installed = install(text, url + "#" + entry.name,
                                /*is_url=*/false, 0.0);
-      if (installed.is_ok())
+      if (installed.is_ok()) {
         ++report.documents_installed;
-      else
+        total.parse_ms += last_stats_.parse_ms;
+        total.translate_ms += last_stats_.translate_ms;
+        total.register_ms += last_stats_.register_ms;
+        total.types_loaded += last_stats_.types_loaded;
+      } else {
         report.failures.emplace_back(entry.name, installed);
+      }
     } else {
       auto format = pbio::deserialize_format(
           std::span<const std::uint8_t>(entry.payload));
@@ -190,6 +198,7 @@ SetLoadReport Xmit::install_set_entries(const std::string& url,
         report.failures.emplace_back(entry.name, adopted.status());
     }
   }
+  last_stats_ = total;
   return report;
 }
 

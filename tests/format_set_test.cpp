@@ -297,6 +297,37 @@ TEST_F(LoadSetTest, InstallsEveryEntryFromOneFetch) {
   EXPECT_TRUE(xmit.bind("Probe").is_ok());
 }
 
+// last_load_stats() after a set covers every installed entry: three
+// documents defining 1, 1 and 2 types report 4 types, not the last
+// document's 2.
+TEST_F(LoadSetTest, StatsSumEveryInstalledEntry) {
+  const char* pair_schema =
+      "<xsd:schema xmlns:xsd=\"http://www.w3.org/2001/XMLSchema\">"
+      "<xsd:complexType name=\"Left\"><xsd:sequence>"
+      "<xsd:element name=\"a\" type=\"xsd:int\"/>"
+      "</xsd:sequence></xsd:complexType>"
+      "<xsd:complexType name=\"Right\"><xsd:sequence>"
+      "<xsd:element name=\"b\" type=\"xsd:double\"/>"
+      "</xsd:sequence></xsd:complexType></xsd:schema>";
+  std::vector<SetEntry> entries;
+  entries.push_back({SetEntryKind::kSchemaDocument, "cell.xsd",
+                     text_bytes(kCellSchema)});
+  entries.push_back({SetEntryKind::kSchemaDocument, "probe.xsd",
+                     text_bytes(kProbeSchema)});
+  entries.push_back(
+      {SetEntryKind::kSchemaDocument, "pair.xsd", text_bytes(pair_schema)});
+  auto blob = toolkit::build_format_set(entries);
+  server_->put_document("/sets/three", std::string(blob.begin(), blob.end()));
+
+  toolkit::Xmit xmit(registry_);
+  auto report = xmit.load_set(server_->url_for("/sets/three"));
+  ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+  ASSERT_EQ(report.value().documents_installed, 3u);
+  const toolkit::LoadStats& stats = xmit.last_load_stats();
+  EXPECT_EQ(stats.types_loaded, 4u);
+  EXPECT_GT(stats.parse_ms + stats.translate_ms + stats.register_ms, 0.0);
+}
+
 TEST_F(LoadSetTest, BadEntryFailsAloneGoodEntriesInstall) {
   std::vector<SetEntry> entries;
   entries.push_back({SetEntryKind::kSchemaDocument, "good.xsd",

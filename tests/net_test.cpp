@@ -1,6 +1,10 @@
 // Discovery substrate tests: URLs, the HTTP server/client pair, scheme
 // dispatch, and the framed message channel.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <thread>
 
@@ -176,6 +180,35 @@ TEST(Channel, ReceiveTimeout) {
   EXPECT_FALSE(result.is_ok());
   // Timeout is its own code, no longer conflated with kIoError.
   EXPECT_EQ(result.code(), ErrorCode::kTimeout);
+}
+
+// Once any byte of a frame is consumed, the frame must complete: a
+// timeout past that point leaves the stream unframeable, so the channel
+// closes and reports kIoError, like a blown send deadline.
+TEST(Channel, TimeoutMidFrameClosesTheChannel) {
+  auto listener = ChannelListener::listen().value();
+  const int raw = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(listener.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(raw, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  auto channel = listener.accept().value();
+
+  // Nothing consumed: an ordinary timeout, and the channel stays usable.
+  std::vector<std::uint8_t> out;
+  EXPECT_EQ(channel.receive_into(out, 20).code(), ErrorCode::kTimeout);
+  EXPECT_TRUE(channel.is_open());
+
+  // The header of a 100-byte frame and 10 bytes of its body, then silence.
+  std::uint8_t partial[14] = {100, 0, 0, 0};
+  ASSERT_EQ(::send(raw, partial, sizeof(partial), MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof(partial)));
+  Status mid = channel.receive_into(out, 50);
+  EXPECT_EQ(mid.code(), ErrorCode::kIoError) << mid.to_string();
+  EXPECT_FALSE(channel.is_open());
+  ::close(raw);
 }
 
 TEST(Channel, AcceptTimeout) {

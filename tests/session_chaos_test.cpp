@@ -18,6 +18,7 @@
 #include <atomic>
 #include <deque>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -293,6 +294,74 @@ TEST(SessionChaos, TcpKillAndRstSubset) {
     pair.a.close();
     pair.b.close();
   }
+}
+
+// A transport that dies while an announcement is part-way onto the wire:
+// a passive flow-controlled sender re-sends the whole announcement on the
+// next transport, ahead of the first record that needs it. `kill_at` > 0
+// kills the first transport after that many bytes; 0 leaves it stalled
+// with the announcement stuck mid-wire, and then drops it.
+void run_cut_announcement(std::size_t kill_at) {
+  // A schema too large for a socket buffer: with nobody reading, its
+  // announcement always stops part-way.
+  std::vector<pbio::IOField> fields;
+  const std::string padding(1000, 'x');
+  for (std::uint32_t i = 0; i < 400; ++i) {
+    std::string name = std::to_string(i);
+    name.insert(0, 1, 'f');
+    fields.push_back({name + padding, "integer", 4, 4 * i});
+  }
+  pbio::FormatRegistry registry_s, registry_r;
+  auto wide = registry_s.register_format("Wide", fields, 4 * 400).value();
+  SessionOptions options = quiet_options();
+  options.flow_control = true;
+
+  auto first = net::Channel::pipe().value();
+  if (kill_at > 0)
+    first.first.arm_failure(net::InjectedFailure::kKillAfterBytes, kill_at);
+  MessageSession sender(std::move(first.first), registry_s, options);
+  ASSERT_TRUE(sender.announce(*wide).is_ok());
+  ASSERT_EQ(sender.channel().bytes_sent(), 0u) << "announcement went whole";
+  first.second.close();  // the peer dies with the announcement half-read
+
+  auto second = net::Channel::pipe().value();
+  sender.attach(std::move(second.first));
+  SessionOptions receiving;
+  receiving.flow_control = true;
+  MessageSession receiver(std::move(second.second), registry_r, receiving);
+  std::vector<std::int32_t> record(400);
+  for (std::size_t i = 0; i < record.size(); ++i)
+    record[i] = static_cast<std::int32_t>(i);
+  auto encoder = pbio::Encoder::make(wide).value();
+  ASSERT_TRUE(sender.send(encoder, record.data()).is_ok());
+
+  // Single-threaded: each side pumps in turn until the record lands.
+  Result<MessageSession::IncomingView> incoming =
+      Status(ErrorCode::kTimeout, "not yet");
+  for (int turn = 0; turn < 2000 && !incoming.is_ok(); ++turn) {
+    (void)sender.receive_view(0);
+    incoming = receiver.receive_view(1);
+    if (!incoming.is_ok()) {
+      ASSERT_EQ(incoming.code(), ErrorCode::kTimeout)
+          << incoming.status().to_string();
+    }
+  }
+  ASSERT_TRUE(incoming.is_ok()) << incoming.status().to_string();
+  EXPECT_EQ(incoming.value().sender_format->id(), wide->id());
+  auto reader = pbio::RecordReader::make(incoming.value().bytes,
+                                         incoming.value().sender_format);
+  ASSERT_TRUE(reader.is_ok()) << reader.status().to_string();
+  EXPECT_EQ(reader.value().get_int("f399" + padding).value(), 399);
+  EXPECT_EQ(receiver.announcements_received(), 1u);
+  EXPECT_EQ(receiver.malformed_frames(), 0u);
+}
+
+TEST(SessionChaos, AnnouncementCutMidWireGoesOutWholeOnTheNextTransport) {
+  run_cut_announcement(0);
+}
+
+TEST(SessionChaos, AnnouncementKilledMidWriteGoesOutWholeOnTheNextTransport) {
+  run_cut_announcement(1000);
 }
 
 TEST(SessionChaos, AcceptThenHangTriggersLivenessTimeout) {

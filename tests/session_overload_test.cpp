@@ -1,6 +1,7 @@
 // Overload soak: a fast sender against every slow-consumer persona, for
-// every SlowConsumerPolicy (ctest label `overload`; tools/run_overload.sh
-// runs this matrix under AddressSanitizer and ThreadSanitizer).
+// every SlowConsumerPolicy (ctest label `overload`;
+// `tools/run_sanitized.sh overload` runs this matrix under
+// AddressSanitizer and ThreadSanitizer).
 //
 // Personas:
 //   slow        drains every record, 300us late — alive, just behind

@@ -1,11 +1,19 @@
 // MessageSession tests: self-describing connections — formats travel
 // in-band exactly once, receivers need no schema, evolution re-announces.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <chrono>
+#include <filesystem>
 #include <span>
 #include <thread>
 
 #include "common/arena.hpp"
+#include "common/endian.hpp"
+#include "pbio/dynrecord.hpp"
 #include "pbio/format_wire.hpp"
 #include "session/session.hpp"
 
@@ -591,6 +599,233 @@ TEST(Session, ReceiveBatchDrainsAndDecodesInOrder) {
   auto empty = pair.b.receive_batch(*receiver, out, stride, 4, 50);
   ASSERT_FALSE(empty.is_ok());
   EXPECT_EQ(empty.status().code(), ErrorCode::kTimeout);
+}
+
+// A TCP peer that writes raw bytes, so a test can stop a frame anywhere.
+class RawPeer {
+ public:
+  explicit RawPeer(std::uint16_t port) : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    connected_ =
+        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
+  }
+  ~RawPeer() { ::close(fd_); }
+  bool connected() const { return connected_; }
+  bool write(std::span<const std::uint8_t> bytes) {
+    std::size_t done = 0;
+    while (done < bytes.size()) {
+      const ssize_t n = ::send(fd_, bytes.data() + done, bytes.size() - done,
+                               MSG_NOSIGNAL);
+      if (n <= 0) return false;
+      done += static_cast<std::size_t>(n);
+    }
+    return true;
+  }
+
+ private:
+  int fd_;
+  bool connected_ = false;
+};
+
+// [u32 LE length | payload]: one frame as it travels on the wire.
+std::vector<std::uint8_t> wire_frame(std::span<const std::uint8_t> payload) {
+  std::vector<std::uint8_t> frame(4 + payload.size());
+  store_with_order<std::uint32_t>(frame.data(),
+                                  static_cast<std::uint32_t>(payload.size()),
+                                  ByteOrder::kLittle);
+  std::copy(payload.begin(), payload.end(), frame.begin() + 4);
+  return frame;
+}
+
+// A receive that times out halfway through a frame keeps the bytes it
+// already read: the rest of the frame completes the record, and the
+// stream stays framed.
+TEST(Session, TimeoutMidFrameKeepsTheStreamFramed) {
+  pbio::FormatRegistry sender_registry, receiver_registry;
+  auto listener = net::ChannelListener::listen(0).value();
+  RawPeer peer(listener.port());
+  ASSERT_TRUE(peer.connected());
+  MessageSession receiver(listener.accept(2000).value(), receiver_registry);
+
+  auto format = reading_format(sender_registry);
+  auto encoder = pbio::Encoder::make(format).value();
+  std::vector<float> series = {1.5f, 2.5f, 3.5f, 4.5f};
+  char site[] = "midstream";
+  Reading in{9, 4, series.data(), site};
+  ByteBuffer announcement;
+  announcement.append_byte(0x01);
+  pbio::serialize_format(*format, announcement);
+  std::vector<std::uint8_t> record = {0x02, 1, 0, 0, 0, 0, 0, 0, 0};
+  const auto encoded = encoder.encode_to_vector(&in).value();
+  record.insert(record.end(), encoded.begin(), encoded.end());
+
+  std::vector<std::uint8_t> stream = wire_frame(announcement.span());
+  const std::vector<std::uint8_t> record_frame = wire_frame(record);
+  const std::size_t cut = 4 + record.size() / 2;
+  stream.insert(stream.end(), record_frame.begin(),
+                record_frame.begin() + static_cast<std::ptrdiff_t>(cut));
+  ASSERT_TRUE(peer.write(stream));
+
+  auto early = receiver.receive_view(0);
+  ASSERT_FALSE(early.is_ok());
+  EXPECT_EQ(early.code(), ErrorCode::kTimeout);
+
+  ASSERT_TRUE(peer.write(std::span<const std::uint8_t>(record_frame).subspan(cut)));
+  auto incoming = receiver.receive_view(1000);
+  ASSERT_TRUE(incoming.is_ok()) << incoming.status().to_string();
+  EXPECT_TRUE(std::equal(incoming.value().bytes.begin(),
+                         incoming.value().bytes.end(), encoded.begin(),
+                         encoded.end()));
+  pbio::Decoder decoder(receiver_registry);
+  Arena arena;
+  Reading out{};
+  ASSERT_TRUE(decoder
+                  .decode(incoming.value().bytes,
+                          *incoming.value().sender_format, &out, arena)
+                  .is_ok());
+  EXPECT_EQ(out.id, 9);
+  ASSERT_EQ(out.n, 4);
+  EXPECT_EQ(out.series[3], 4.5f);
+  EXPECT_STREQ(out.site, "midstream");
+  EXPECT_EQ(receiver.malformed_frames(), 0u);
+}
+
+// Records larger than the socket buffers arrive in pieces, so the
+// receive_batch drain (receive_view(0)) regularly stops mid-frame. A
+// plain pair must still deliver every record, in order and intact.
+TEST(Session, BatchDrainOfLargeRecordsStaysFramed) {
+  struct Bulk {
+    std::int32_t id;
+    std::int32_t n;
+    float* values;
+  };
+  const std::vector<pbio::IOField> fields = {
+      {"id", "integer", 4, offsetof(Bulk, id)},
+      {"n", "integer", 4, offsetof(Bulk, n)},
+      {"values", "float[n]", 4, offsetof(Bulk, values)}};
+  pbio::FormatRegistry sender_registry, receiver_registry;
+  auto pair = make_session_pipe(sender_registry, receiver_registry).value();
+  auto format =
+      sender_registry.register_format("Bulk", fields, sizeof(Bulk)).value();
+  auto receiver_format =
+      receiver_registry.register_format("Bulk", fields, sizeof(Bulk)).value();
+  auto encoder = pbio::Encoder::make(format).value();
+
+  constexpr int kRecords = 300;
+  constexpr std::int32_t kValues = 20000;  // 80 KB of payload per record
+  const auto value_at = [](int id, int i) {
+    return static_cast<float>(id) * 0.5f + static_cast<float>(i);
+  };
+  std::thread sender([&] {
+    std::vector<float> values(kValues);
+    for (int id = 0; id < kRecords; ++id) {
+      for (int i = 0; i < kValues; ++i) values[i] = value_at(id, i);
+      Bulk record{id, kValues, values.data()};
+      if (!pair.a.send(encoder, &record).is_ok()) return;
+    }
+  });
+
+  Bulk out[8] = {};
+  int next_id = 0;
+  bool intact = true;
+  while (next_id < kRecords && intact) {
+    auto took =
+        pair.b.receive_batch(*receiver_format, out, sizeof(Bulk), 8, 10000);
+    if (!took.is_ok()) {
+      ADD_FAILURE() << "after " << next_id << " records: "
+                    << took.status().to_string();
+      break;
+    }
+    for (std::size_t k = 0; k < took.value() && intact; ++k) {
+      intact = out[k].id == next_id && out[k].n == kValues;
+      for (int i = 0; intact && i < kValues; ++i)
+        intact = out[k].values[i] == value_at(next_id, i);
+      if (intact) ++next_id;
+    }
+  }
+  pair.b.close();  // unblocks a sender still writing after a failure
+  sender.join();
+  EXPECT_TRUE(intact) << "record " << next_id << " arrived out of order or damaged";
+  EXPECT_EQ(next_id, kRecords);
+  EXPECT_EQ(pair.b.malformed_frames(), 0u);
+}
+
+// The send deadline bounds a stall, not a whole flush: a durable sender
+// streams a history that takes several deadlines to drain to a cold
+// subscriber that reads slowly but never stops, and every record arrives.
+TEST(Session, SlowReaderGetsAHistoryLongerThanTheSendDeadline) {
+  char tmpl[] = "/tmp/xmit_session_XXXXXX";
+  const std::filesystem::path dir = ::mkdtemp(tmpl);
+  struct Cleanup {
+    std::filesystem::path dir;
+    ~Cleanup() { std::filesystem::remove_all(dir); }
+  } cleanup{dir};
+
+  pbio::FormatRegistry sender_registry, sink_registry, cold_registry;
+  auto live = net::Channel::pipe().value();
+  SessionOptions durable;
+  durable.resumable = true;
+  durable.heartbeat_interval_ms = 60000;
+  durable.liveness_deadline_ms = 250;  // also the channel's send deadline
+  durable.durable_dir = dir.string();
+  durable.durable_fsync = storage::FsyncPolicy::kNone;
+  MessageSession sender(std::move(live.first), sender_registry, durable);
+  MessageSession sink(std::move(live.second), sink_registry);
+  ASSERT_TRUE(sender.durable_status().is_ok())
+      << sender.durable_status().to_string();
+
+  // 200 records of 16 KB: far more than a socket buffer holds.
+  constexpr int kRecords = 200;
+  auto encoder = pbio::Encoder::make(reading_format(sender_registry)).value();
+  std::vector<float> series(4000, 0.25f);
+  char site[] = "history";
+  for (int id = 0; id < kRecords; ++id) {
+    Reading in{id, static_cast<std::int32_t>(series.size()), series.data(),
+               site};
+    ASSERT_TRUE(sender.send(encoder, &in).is_ok()) << "record " << id;
+    ASSERT_TRUE(sink.receive_view(2000).is_ok()) << "record " << id;
+  }
+  ASSERT_EQ(sender.durable_last_seq(), static_cast<std::uint64_t>(kRecords));
+
+  auto replay = net::Channel::pipe().value();
+  sender.attach(std::move(replay.first));
+  SessionOptions subscriber;
+  subscriber.resumable = true;
+  subscriber.heartbeat_interval_ms = 60000;
+  subscriber.liveness_deadline_ms = 60000;
+  MessageSession cold(std::move(replay.second), cold_registry, subscriber);
+  ASSERT_TRUE(cold.request_replay(1).is_ok());
+
+  // 3 ms per record: the whole history takes at least twice the deadline
+  // to read, while no single stall comes near it.
+  std::vector<std::int32_t> ids;
+  std::thread reader([&] {
+    while (ids.size() < static_cast<std::size_t>(kRecords)) {
+      auto incoming = cold.receive_view(3000);
+      if (!incoming.is_ok()) return;
+      auto record = pbio::RecordReader::make(incoming.value().bytes,
+                                             incoming.value().sender_format);
+      auto id = record.is_ok() ? record.value().get_int("id")
+                               : Result<std::int64_t>(record.status());
+      ids.push_back(id.is_ok() ? static_cast<std::int32_t>(id.value()) : -1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    }
+  });
+  // The sender answers the request by streaming its log; afterwards it
+  // only waits, so the call ends in a timeout.
+  auto answered = sender.receive_view(100);
+  reader.join();
+  ASSERT_FALSE(answered.is_ok());
+  EXPECT_EQ(answered.code(), ErrorCode::kTimeout);
+  EXPECT_EQ(sender.transport_losses(), 0u);
+
+  ASSERT_EQ(ids.size(), static_cast<std::size_t>(kRecords));
+  for (int id = 0; id < kRecords; ++id)
+    ASSERT_EQ(ids[static_cast<std::size_t>(id)], id) << "at position " << id;
+  EXPECT_EQ(cold.malformed_frames(), 0u);
 }
 
 }  // namespace

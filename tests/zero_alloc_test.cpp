@@ -20,36 +20,54 @@ namespace {
 std::atomic<std::size_t> g_allocations{0};
 std::atomic<bool> g_counting{false};
 
-void* counted_alloc(std::size_t size) {
+// Every replaced form allocates from malloc and every delete frees there,
+// throwing and nothrow alike: libstdc++'s get_temporary_buffer (the
+// stable_sort scratch) allocates through the nothrow operator new and
+// frees through plain operator delete, so a nothrow form left to the
+// library would hand this file's std::free a block it never malloc'd.
+void* counted_alloc(std::size_t size) noexcept {
   if (g_counting.load(std::memory_order_relaxed))
     g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size ? size : 1);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
+  return std::malloc(size ? size : 1);
 }
 
-}  // namespace
-
-namespace {
-
-void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
+void* counted_aligned_alloc(std::size_t size, std::align_val_t align) noexcept {
   if (g_counting.load(std::memory_order_relaxed))
     g_allocations.fetch_add(1, std::memory_order_relaxed);
   std::size_t a = static_cast<std::size_t>(align);
   std::size_t rounded = (size + a - 1) / a * a;  // aligned_alloc contract
-  void* p = std::aligned_alloc(a, rounded ? rounded : a);
+  return std::aligned_alloc(a, rounded ? rounded : a);
+}
+
+void* or_throw(void* p) {
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
 
 }  // namespace
 
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
+void* operator new(std::size_t size) { return or_throw(counted_alloc(size)); }
+void* operator new[](std::size_t size) {
+  return or_throw(counted_alloc(size));
+}
 void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, align);
+  return or_throw(counted_aligned_alloc(size, align));
 }
 void* operator new[](std::size_t size, std::align_val_t align) {
+  return or_throw(counted_aligned_alloc(size, align));
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return counted_aligned_alloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
   return counted_aligned_alloc(size, align);
 }
 void operator delete(void* p) noexcept { std::free(p); }
@@ -62,6 +80,17 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
 }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
