@@ -1,13 +1,24 @@
 // Channel: the message transport the application components talk over.
 //
-// Length-prefixed byte messages (u32 little-endian frame header) over a
-// stream socket. Two flavours share the class: connected TCP channels
-// (Hydrology components across processes, latency benches) and socketpair
-// pipes (components co-resident in one process). PBIO records pass
-// through whole — the channel is payload-agnostic, exactly like the
-// transport layer beneath a BCM.
+// Length-prefixed byte messages over a stream socket. Two flavours share
+// the class: connected TCP channels (Hydrology components across
+// processes, latency benches) and socketpair pipes (components co-resident
+// in one process). PBIO records pass through whole — the channel is
+// payload-agnostic, exactly like the transport layer beneath a BCM.
+//
+// This is the only module that knows the wire frame, [u32 LE length |
+// payload]. One writer, send_some, stores the length prefix; every send
+// path (send, send_gather, MessageSession's writer) is a loop around it.
+// One assembler, try_receive, loads the prefix; receive_into and
+// MessageSession's reader are poll loops around it. The assembler reads
+// ahead: one recv may pull several frames, or the start of the next,
+// into the channel's buffer, and a frame already buffered is returned
+// without waiting on the socket. Partial frames stay buffered across
+// calls and die with the Channel object. The writer and the assembler
+// share no state, so one thread may send while another receives.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -18,6 +29,9 @@
 #include "common/error.hpp"
 
 namespace xmit::net {
+
+// Bytes of the u32 length prefix in front of every frame's payload.
+inline constexpr std::size_t kFrameHeaderBytes = 4;
 
 // Test seam for the chaos harness: a channel can be armed to die after a
 // byte budget, modelling a peer crash (kill: already-written bytes stay in
@@ -55,60 +69,70 @@ class Channel {
 
   bool is_open() const { return fd_ >= 0; }
 
+  // send_gather of one slice.
   Status send(std::span<const std::uint8_t> message);
   Status send(const std::vector<std::uint8_t>& message) {
     return send(std::span<const std::uint8_t>(message));
   }
 
-  // Nonblocking framed gather send with partial-write resumption: the
-  // frame's payload is the concatenation of `slices`, and `cursor` tracks
-  // progress through its wire image ([4-byte header | payload]). Callers
-  // start the cursor at 0 and pass it back until the frame completes.
-  // Bytes before the cursor are never read, so a caller resuming a frame
-  // whose head it no longer holds may pass a placeholder slice of the same
-  // length. Returns OK when the whole frame is on the wire, kUnavailable
-  // when the socket would block (the cursor says how far it got), and
-  // kIoError / kTimeout on a dead transport. A frame abandoned mid-cursor
-  // leaves the stream unframeable: the only safe next step is close().
+  // The single writer: a nonblocking framed gather send with partial-write
+  // resumption. The frame's payload is the concatenation of `slices`, and
+  // `cursor` tracks progress through its wire image ([kFrameHeaderBytes
+  // header | payload]). Callers start the cursor at 0 and pass it back
+  // until the frame completes. Bytes before the cursor are never read, so
+  // a caller resuming a frame whose head it no longer holds may pass a
+  // placeholder slice of the same length. Returns OK when the whole frame
+  // is on the wire, kUnavailable (with no message, so nothing is
+  // allocated) when the socket would block (the cursor says how far it
+  // got), and kIoError on a dead transport. An armed failure (see
+  // arm_failure) is applied here, each sendmsg capped at the budget left.
+  // A frame abandoned mid-cursor leaves the stream unframeable: the only
+  // safe next step is close().
   Status send_some(std::span<const IoSlice> slices, std::size_t& cursor);
 
   // True when a send of at least one byte would not block (POLLOUT within
   // timeout_ms; 0 = poll-and-return).
   bool poll_writable(int timeout_ms);
 
-  // Bounds every blocking send path: a send that cannot place its bytes
-  // within `deadline_ms` fails with kTimeout and closes the channel (the
-  // frame is partially written — the stream cannot be re-synchronized).
-  // Negative restores the unbounded default. This is the liveness fix for
-  // senders wedged in send_all toward a peer that stopped reading.
+  // Bounds every blocking send: a send that cannot place its bytes within
+  // `deadline_ms` fails with kTimeout and closes the channel (the frame is
+  // partially written — the stream cannot be re-synchronized). Negative
+  // restores the unbounded default. This is the liveness fix for senders
+  // wedged toward a peer that stopped reading.
   void set_send_deadline(int deadline_ms) { send_deadline_ms_ = deadline_ms; }
   int send_deadline_ms() const { return send_deadline_ms_; }
 
-  // Sends one frame whose payload is the concatenation of `slices`
-  // (sendmsg gather I/O) — the wire bytes are identical to send() of the
-  // flattened message, but nothing is copied into an intermediate buffer
-  // and nothing is heap-allocated, for any slice count.
+  // Blocking send of one frame whose payload is the concatenation of
+  // `slices`: send_some, waiting in poll_writable under the send deadline
+  // whenever the socket is full. Nothing is copied into an intermediate
+  // buffer and nothing is heap-allocated, for any slice count.
   Status send_gather(std::span<const IoSlice> slices);
 
-  // Blocks up to timeout_ms for the next complete frame. A cleanly closed
-  // peer yields kNotFound ("end of stream"), an expired deadline yields
-  // kTimeout, and every other socket failure is kIoError. Once any byte of
-  // a frame has been consumed the frame must complete: a timeout past that
-  // point closes the channel and reports kIoError, because the stream can
-  // no longer be re-framed (the same rule as the send deadline).
+  // Waits for the next complete frame; see receive_into.
   Result<std::vector<std::uint8_t>> receive(int timeout_ms = 5000);
 
-  // receive() into a caller-owned buffer: once `out`'s capacity has grown
-  // to the session's largest frame, further receives allocate nothing.
+  // A poll loop around try_receive: the next complete frame into a
+  // caller-owned buffer (once `out`'s capacity has grown to the largest
+  // frame, further receives allocate nothing). A frame already buffered
+  // returns at once; otherwise each wait for more bytes lasts up to
+  // timeout_ms. With nothing of a frame read, an expired wait yields
+  // kTimeout and the channel stays usable. Once any byte of a frame has
+  // been read the frame must complete: an expired wait past that point
+  // closes the channel and reports kIoError, because the stream can no
+  // longer be re-framed (the same rule as the send deadline). A cleanly
+  // closed peer yields kNotFound ("end of stream"), a peer closing
+  // mid-frame kIoError, a length prefix over 1 GiB kResourceExhausted.
   Status receive_into(std::vector<std::uint8_t>& out, int timeout_ms = 5000);
 
-  // Nonblocking raw receive into `into`, caller-owned spare space that is
-  // neither cleared nor resized: returns how many bytes arrived, 0 when
-  // nothing is waiting (EAGAIN), kNotFound on EOF, kIoError otherwise.
-  // Callers own the re-framing; this is the readiness primitive
-  // MessageSession's frame assembler drains from, and it must not be
-  // mixed with receive_into on the same stream.
-  Result<std::size_t> recv_some(std::span<std::uint8_t> into);
+  // The single frame assembler, nonblocking: moves the next complete frame
+  // into `out`, reading whatever the socket holds without blocking.
+  // Returns kUnavailable (with no message, so nothing is allocated) when
+  // no complete frame is there yet — the partial bytes stay buffered for
+  // the next call. A length prefix over `max_bytes` is kResourceExhausted
+  // before any of its body is read; the buffer grows with the bytes that
+  // arrive, never by what a prefix claims. EOF is kNotFound between
+  // frames and kIoError mid-frame.
+  Status try_receive(std::vector<std::uint8_t>& out, std::size_t max_bytes);
 
   // True when a recv of at least one byte (or EOF) would not block.
   bool poll_readable(int timeout_ms);
@@ -132,9 +156,8 @@ class Channel {
   explicit Channel(int fd) : fd_(fd) {}
   friend class ChannelListener;
 
-  // send_all that honours an armed failure; all send paths route their
-  // wire bytes through here so byte budgets are exact.
-  Status write_bytes(const void* data, std::size_t size);
+  // Spends an exhausted failure budget: dies per the armed mode.
+  Status fail_injected();
 
   int fd_ = -1;
   std::size_t sent_ = 0;
@@ -142,6 +165,10 @@ class Channel {
   int send_deadline_ms_ = -1;  // <0: block indefinitely (legacy behaviour)
   InjectedFailure failure_ = InjectedFailure::kNone;
   std::size_t failure_budget_ = 0;
+  // Inbound bytes read ahead; [in_pos_, in_end_) await re-framing.
+  std::vector<std::uint8_t> in_buf_;
+  std::size_t in_pos_ = 0;
+  std::size_t in_end_ = 0;
 };
 
 class ChannelListener {

@@ -99,7 +99,7 @@ Result<std::size_t> StallingReader::consume_then_stall(
   while (consumed_ < action.byte_budget) {
     Status got = channel_.receive_into(scratch, timeout_ms);
     if (!got.is_ok()) return got;
-    consumed_ += scratch.size() + 4;  // the u32 frame header is wire bytes
+    consumed_ += scratch.size() + kFrameHeaderBytes;  // headers are wire bytes
     ++frames;
   }
   return frames;  // park: the caller keeps this object (and the fd) alive

@@ -197,9 +197,11 @@ class TruncatingChannel {
 // peer that consumes whole frames until `byte_budget` wire bytes have
 // been read, then wedges — the fd stays open (no EOF, no RST) but the
 // kernel receive buffer fills and the sender's socket stops accepting
-// bytes. This is the overload failure that a blocking send_all cannot
+// bytes. This is the overload failure that a blocking send cannot
 // survive and that the channel send deadline + session flow control
-// exist to bound.
+// exist to bound. Frames are counted as consumed one at a time, but the
+// channel's read-ahead may have drained up to one buffer more from the
+// socket when the reader parks.
 class StallingReader {
  public:
   // Takes ownership of the peer-facing channel.

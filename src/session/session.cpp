@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <thread>
 
 #include "analysis/plan_verify.hpp"
@@ -28,6 +27,8 @@ constexpr std::uint8_t kTagShed = 0x09;
 // A window or shed span past this is no plausible drain budget: it is an
 // attack on the credit arithmetic.
 constexpr std::uint64_t kMaxCreditWindow = 1ull << 48;
+// In-flight ledger entries reserved up front: one per window record.
+constexpr std::uint64_t kLedgerReserve = 4096;
 // Droppable control frames (heartbeats, grants) are skipped past this
 // queue depth: a fresher copy always follows.
 constexpr std::size_t kControlQueueCap = 64;
@@ -413,10 +414,12 @@ Status MessageSession::absorb_ack(std::uint64_t last_seq) {
     replay_bytes_ -= replay_.front().frame.size();
     replay_.pop_front();
   }
-  while (!inflight_.empty() && inflight_.front().first <= peer_acked_seq_) {
-    inflight_bytes_ -= inflight_.front().second;
-    inflight_.pop_front();
-  }
+  const auto unacked = std::find_if(
+      inflight_.begin(), inflight_.end(),
+      [&](const auto& entry) { return entry.first > peer_acked_seq_; });
+  for (auto it = inflight_.begin(); it != unacked; ++it)
+    inflight_bytes_ -= it->second;
+  inflight_.erase(inflight_.begin(), unacked);
   return Status::ok();
 }
 
@@ -574,6 +577,9 @@ Status MessageSession::process_credit(std::span<const std::uint8_t> payload) {
   XMIT_RETURN_IF_ERROR(absorb_ack(ack));
   credit_seq_limit_ = reach;
   credit_bytes_window_ = window_bytes;
+  // The ledger never holds more than the records window: sized here, sends
+  // and acks never grow it in the steady state.
+  inflight_.reserve(std::min<std::uint64_t>(window_records, kLedgerReserve));
   ++credit_grants_received_;
   return Status::ok();
 }
@@ -639,7 +645,9 @@ Status MessageSession::write_frame(std::span<const IoSlice> frame,
   // Part of the frame is on the wire: keep only what it still owes, or all
   // of a control frame (they are small), which a dead transport re-queues.
   const std::size_t written =
-      cursor > 4 && kind != FrameKind::kControl ? cursor - 4 : 0;
+      cursor > net::kFrameHeaderBytes && kind != FrameKind::kControl
+          ? cursor - net::kFrameHeaderBytes
+          : 0;
   midwire_.kind = kind;
   midwire_.seq = seq;
   midwire_.cursor = cursor;
@@ -685,9 +693,9 @@ Status MessageSession::emit_record(std::uint64_t seq,
   if (!channel_.is_open()) return Status::ok();
   const std::size_t bytes = slices_bytes(frame);
   if (midwire_.cursor == 0 && control_queue_.empty() && send_queue_.empty() &&
-      next_transmit_seq_ == seq && credit_allows(seq, 4 + bytes)) {
+      next_transmit_seq_ == seq && credit_allows(seq, bytes)) {
     Status sent = write_frame(frame, FrameKind::kData, seq, nullptr);
-    if (sent.is_ok()) note_transmitted(seq, 4 + bytes);
+    if (sent.is_ok()) note_transmitted(seq, bytes);
     if (sent.code() != ErrorCode::kUnavailable) return sent;
   }
   QueuedFrame queued{.kind = FrameKind::kData,
@@ -706,18 +714,20 @@ Status MessageSession::emit_record(std::uint64_t seq,
 }
 
 bool MessageSession::credit_allows(std::uint64_t seq,
-                                   std::size_t wire_bytes) const {
+                                   std::size_t payload_bytes) const {
   if (!options_.flow_control) return true;
   if (seq > credit_seq_limit_) return false;
   // One frame always rides a quiet wire, however large.
   return inflight_bytes_ == 0 ||
-         inflight_bytes_ + wire_bytes <= credit_bytes_window_;
+         inflight_bytes_ + net::kFrameHeaderBytes + payload_bytes <=
+             credit_bytes_window_;
 }
 
 void MessageSession::note_transmitted(std::uint64_t seq,
-                                      std::size_t wire_bytes) {
+                                      std::size_t payload_bytes) {
   next_transmit_seq_ = seq + 1;
   if (!options_.flow_control) return;  // unlimited credit keeps no ledger
+  const std::size_t wire_bytes = net::kFrameHeaderBytes + payload_bytes;
   inflight_.emplace_back(seq, static_cast<std::uint32_t>(wire_bytes));
   inflight_bytes_ += wire_bytes;
 }
@@ -781,22 +791,22 @@ Status MessageSession::pump() {
         continue;
       }
       next_transmit_seq_ = seq;
-      if (!credit_allows(seq, 4 + held_.bytes)) return Status::ok();
+      if (!credit_allows(seq, held_.bytes)) return Status::ok();
       if (reannounce(held_.format_id, seq)) continue;
       XMIT_RETURN_IF_ERROR(
           write_frame(held_.slices, FrameKind::kData, seq, nullptr));
-      note_transmitted(seq, 4 + held_.bytes);
+      note_transmitted(seq, held_.bytes);
       continue;
     }
     if (front == nullptr) return Status::ok();  // drained
     const std::size_t bytes = front->frame.size();
-    if (!credit_allows(front->seq, 4 + bytes)) return Status::ok();
+    if (!credit_allows(front->seq, bytes)) return Status::ok();
     if (reannounce(front->format_id, front->seq)) continue;
     const IoSlice slice = {front->frame.data(), bytes};
     XMIT_RETURN_IF_ERROR(write_frame(std::span<const IoSlice>(&slice, 1),
                                      FrameKind::kData, front->seq,
                                      &front->frame));
-    note_transmitted(front->seq, 4 + bytes);
+    note_transmitted(front->seq, bytes);
     --data_queue_records_;
     data_queue_bytes_ -= bytes;
     send_queue_.pop_front();
@@ -949,84 +959,22 @@ void MessageSession::reset_wire() {
            frame.frame[0] == kTagDurableRange ||
            frame.frame[0] == kTagReplayRequest;
   });
-  // Half-assembled inbound bytes died with the transport too.
-  inbound_pos_ = 0;
-  inbound_end_ = 0;
 }
 
-// --- the frame assembler -------------------------------------------------
-
-Result<bool> MessageSession::extract_inbound_frame(
-    std::vector<std::uint8_t>& out) {
-  const std::size_t avail = inbound_end_ - inbound_pos_;
-  if (avail < 4) return false;
-  const std::uint8_t* head = inbound_buf_.data() + inbound_pos_;
-  const std::uint32_t length =
-      load_with_order<std::uint32_t>(head, ByteOrder::kLittle);
-  if (length > limits_.max_message_bytes)
-    return Status(ErrorCode::kResourceExhausted,
-                  "inbound frame exceeds the session size limit");
-  if (avail < 4ull + length) return false;
-  out.assign(head + 4, head + 4 + length);
-  inbound_pos_ += 4 + length;
-  if (inbound_pos_ == inbound_end_) inbound_pos_ = inbound_end_ = 0;
-  return true;
-}
-
-Result<std::size_t> MessageSession::fill_inbound() {
-  constexpr std::size_t kMinRead = 16 * 1024;
-  constexpr std::size_t kInitialBytes = 64 * 1024;
-  // Room for the rest of the frame being assembled, and never less than a
-  // useful read. The buffer only grows, so reads zero-fill nothing.
-  const std::size_t avail = inbound_end_ - inbound_pos_;
-  std::size_t room = kMinRead;
-  if (avail >= 4) {
-    const std::size_t frame = 4 + load_with_order<std::uint32_t>(
-                                      inbound_buf_.data() + inbound_pos_,
-                                      ByteOrder::kLittle);
-    room = std::max(room, frame - avail);
-  }
-  if (inbound_buf_.size() - inbound_end_ < room) {
-    if (inbound_pos_ > 0) {  // slide the unconsumed bytes to the front
-      std::memmove(inbound_buf_.data(), inbound_buf_.data() + inbound_pos_,
-                   avail);
-      inbound_pos_ = 0;
-      inbound_end_ = avail;
-    }
-    if (inbound_buf_.size() - inbound_end_ < room)
-      inbound_buf_.resize(std::max(inbound_end_ + room, kInitialBytes));
-  }
-  XMIT_ASSIGN_OR_RETURN(
-      const std::size_t got,
-      channel_.recv_some(std::span<std::uint8_t>(inbound_buf_)
-                             .subspan(inbound_end_)));
-  inbound_end_ += got;
-  return got;
-}
+// --- the reader ----------------------------------------------------------
 
 Status MessageSession::read_frame(std::vector<std::uint8_t>& out,
                                   int timeout_ms) {
   Stopwatch budget;
   for (;;) {
-    XMIT_ASSIGN_OR_RETURN(const bool framed, extract_inbound_frame(out));
-    if (framed) return Status::ok();
-    if (!channel_.is_open())
-      return Status(ErrorCode::kIoError, "channel is closed");
-    auto pulled = fill_inbound();
-    if (!pulled.is_ok()) {
-      if (pulled.code() == ErrorCode::kNotFound &&
-          inbound_end_ > inbound_pos_)
-        return Status(ErrorCode::kIoError, "peer closed mid-frame");
-      return pulled.status();
-    }
-    if (pulled.value() > 0) continue;
+    Status got = channel_.try_receive(out, limits_.max_message_bytes);
+    if (got.code() != ErrorCode::kUnavailable) return got;
     // Idle inbound: keep our own writer moving while we wait.
     if (receive_pumps()) (void)pump();
     if (!channel_.is_open())
       return Status(ErrorCode::kIoError, "channel is closed");
     const int remaining = timeout_ms - static_cast<int>(budget.elapsed_ms());
-    if (remaining <= 0)
-      return Status(ErrorCode::kTimeout, "session receive timeout");
+    if (remaining <= 0) return got;
     channel_.poll_readable(receive_pumps() ? std::min(remaining, 20)
                                            : remaining);
   }
@@ -1070,7 +1018,7 @@ void MessageSession::poll_control() {
   constexpr std::size_t kPendingFramesCap = 256;
   while (channel_.is_open() && pending_frames_.size() < kPendingFramesCap) {
     Status got = read_frame(poll_frame_, 0);
-    if (got.code() == ErrorCode::kTimeout) return;  // nothing waiting
+    if (got.code() == ErrorCode::kUnavailable) return;  // nothing waiting
     if (!got.is_ok()) {
       if (got.code() == ErrorCode::kResourceExhausted)
         (void)note_malformed(got);  // oversized inbound frame
@@ -1385,11 +1333,12 @@ Result<MessageSession::IncomingView> MessageSession::receive_view(
       }
       Status got = read_frame(recv_frame_, slice);
       if (!got.is_ok()) {
-        if (got.code() == ErrorCode::kTimeout) {
+        if (got.code() == ErrorCode::kUnavailable) {
           if (receive_pumps() && liveness_stale())
             return Status(ErrorCode::kTimeout,
                           "peer silent past the liveness deadline");
-          if (budget.elapsed_ms() >= timeout_ms) return got;
+          if (budget.elapsed_ms() >= timeout_ms)
+            return Status(ErrorCode::kTimeout, "session receive timeout");
           maybe_ping();
           continue;
         }

@@ -34,7 +34,7 @@
 // and resumes the same session — the receiver sees a normal epoch bump
 // followed by an at-least-once replay its dedup already handles.
 //
-// One writer, one assembler. Every outgoing frame (records,
+// One writer, one reader. Every outgoing frame (records,
 // announcements, handshakes, heartbeats, grants, adverts, replay requests
 // and replays) goes through one routine: it finishes the single frame
 // allowed to be partially on the wire, then writes the new frame straight
@@ -43,8 +43,9 @@
 // in sequence order as the peer's credit allows. A session that does not
 // honour grants (no flow_control) simply has unlimited credit, and its
 // send() flushes, returning with the record on the wire. Every inbound
-// frame is re-assembled from a byte buffer, so a receive that times out
-// mid-frame keeps the bytes it already read.
+// frame comes from the channel's buffered frame assembler, so a receive
+// that times out mid-frame keeps the bytes it already read. The session
+// deals in frames; only net::Channel knows how they are delimited.
 //
 // Frame format: [1-byte tag | payload], each frame carried behind the
 // channel's u32 little-endian length prefix; integers little-endian.
@@ -509,8 +510,9 @@ class MessageSession {
   bool load_held(std::uint64_t& seq, std::uint64_t last, HeldFrame& out);
   bool read_log(std::uint64_t seq);
   void queue_history(std::uint64_t first, std::uint64_t last);
-  bool credit_allows(std::uint64_t seq, std::size_t wire_bytes) const;
-  void note_transmitted(std::uint64_t seq, std::size_t wire_bytes);
+  // Credit is counted in wire bytes: the payload plus its length prefix.
+  bool credit_allows(std::uint64_t seq, std::size_t payload_bytes) const;
+  void note_transmitted(std::uint64_t seq, std::size_t payload_bytes);
   // A new transport: a record mid-wire rewinds the transmit cursor, a
   // notice mid-wire is re-queued, and handshakes, adverts and requests
   // queued for the old transport are dropped.
@@ -521,14 +523,12 @@ class MessageSession {
   // thread may send while another receives.
   bool receive_pumps() const { return resumable_ || options_.flow_control; }
 
-  // --- the frame assembler --------------------------------------------
-  // Next complete frame out of inbound_buf_, reading as needed; a timeout
-  // mid-frame keeps the bytes already read.
+  // --- the reader -----------------------------------------------------
+  // Next complete frame from the channel's assembler, pumping the writer
+  // and polling between reads; kUnavailable (allocation-free) once
+  // timeout_ms passes without one. A timeout mid-frame keeps the bytes
+  // already read in the channel.
   Status read_frame(std::vector<std::uint8_t>& out, int timeout_ms);
-  // false = more bytes needed; kResourceExhausted = oversized frame.
-  Result<bool> extract_inbound_frame(std::vector<std::uint8_t>& out);
-  // Bytes read into inbound_buf_'s spare end; 0 = nothing waiting.
-  Result<std::size_t> fill_inbound();
   // Empty frames, pings, pongs and credit grants, absorbed in place by
   // both inbound paths; false for any other frame.
   bool absorb_control(std::span<const std::uint8_t> frame, Status& status);
@@ -662,19 +662,16 @@ class MessageSession {
   std::uint64_t next_transmit_seq_ = 1;  // next data seq owed to the wire
   std::uint64_t credit_seq_limit_ = 0;   // cumulative transmit allowance
   std::uint64_t credit_bytes_window_ = 0;
-  // Transmitted-but-unacked (seq, wire bytes): the byte-window ledger.
-  std::deque<std::pair<std::uint64_t, std::uint32_t>> inflight_;
+  // Transmitted-but-unacked (seq, wire bytes): the byte-window ledger. A
+  // vector, so acks erase without giving back its capacity.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> inflight_;
   std::uint64_t inflight_bytes_ = 0;
   std::uint64_t last_grant_ack_ = 0;  // receiver: ack in our last grant
   // Reader state. Data/announce frames poll_control() pulled off the wire
   // while a send path was draining acks; receive_view consumes these
-  // first. inbound_buf_ keeps its size across reads — bytes
-  // [inbound_pos_, inbound_end_) await re-framing.
+  // first. Partial inbound frames wait in the channel.
   std::deque<std::vector<std::uint8_t>> pending_frames_;
   std::vector<std::uint8_t> poll_frame_;
-  std::vector<std::uint8_t> inbound_buf_;
-  std::size_t inbound_pos_ = 0;
-  std::size_t inbound_end_ = 0;
   std::size_t credit_grants_sent_ = 0;
   std::size_t credit_grants_received_ = 0;
   std::size_t send_queue_depth_peak_ = 0;

@@ -3,13 +3,17 @@
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <thread>
 
+#include "common/endian.hpp"
 #include "net/channel.hpp"
 #include "net/endpoint.hpp"
+#include "net/faults.hpp"
 #include "net/fetch.hpp"
 #include "net/http.hpp"
 #include "net/url.hpp"
@@ -209,6 +213,136 @@ TEST(Channel, TimeoutMidFrameClosesTheChannel) {
   EXPECT_EQ(mid.code(), ErrorCode::kIoError) << mid.to_string();
   EXPECT_FALSE(channel.is_open());
   ::close(raw);
+}
+
+// A raw TCP client of `listener`, for peers that write bytes no Channel
+// would: hostile prefixes, coalesced frames, one byte per send.
+int connect_raw(const ChannelListener& listener) {
+  const int raw = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(listener.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(raw, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(raw);
+    return -1;
+  }
+  return raw;
+}
+
+void append_frame(std::vector<std::uint8_t>& wire, std::size_t length,
+                  std::uint8_t fill) {
+  std::uint8_t header[kFrameHeaderBytes];
+  store_with_order<std::uint32_t>(header, static_cast<std::uint32_t>(length),
+                                  ByteOrder::kLittle);
+  wire.insert(wire.end(), header, header + sizeof(header));
+  wire.insert(wire.end(), length, fill);
+}
+
+long peak_rss_kib() {
+  struct rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+// A length prefix is a claim, not an allocation: a peer that announces a
+// 256 MiB frame, sends 10 bytes of it and hangs up costs the reader what
+// arrived, not what was claimed.
+TEST(Channel, HostileLengthPrefixDoesNotPreallocate) {
+  auto listener = ChannelListener::listen().value();
+  const int raw = connect_raw(listener);
+  ASSERT_GE(raw, 0);
+  auto channel = listener.accept().value();
+  const long before = peak_rss_kib();
+
+  std::uint8_t claim[kFrameHeaderBytes + 10] = {};
+  store_with_order<std::uint32_t>(claim, 256u << 20, ByteOrder::kLittle);
+  ASSERT_EQ(::send(raw, claim, sizeof(claim), MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof(claim)));
+  ::close(raw);
+
+  std::vector<std::uint8_t> out;
+  Status got = channel.receive_into(out, 2000);
+  EXPECT_EQ(got.code(), ErrorCode::kIoError) << got.to_string();
+  EXPECT_LT(peak_rss_kib() - before, 32L * 1024) << "peak RSS grew (KiB)";
+}
+
+TEST(Channel, OversizedPrefixIsResourceExhausted) {
+  auto listener = ChannelListener::listen().value();
+  const int raw = connect_raw(listener);
+  ASSERT_GE(raw, 0);
+  auto channel = listener.accept().value();
+  const std::uint8_t header[kFrameHeaderBytes] = {0xFF, 0xFF, 0xFF, 0xFF};
+  ASSERT_EQ(::send(raw, header, sizeof(header), MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof(header)));
+  std::vector<std::uint8_t> out;
+  EXPECT_EQ(channel.receive_into(out, 2000).code(),
+            ErrorCode::kResourceExhausted);
+  ::close(raw);
+}
+
+// The assembler reads ahead. Frames that arrived in one segment come out
+// one per call, in order, and a frame already buffered returns without
+// waiting on the socket (a zero timeout would expose a poll first). A
+// frame larger than the initial buffer, trickling in a byte per send,
+// grows the buffer and arrives intact.
+TEST(Channel, ReadAheadDeliversCoalescedAndTricklingFrames) {
+  auto listener = ChannelListener::listen().value();
+  const int raw = connect_raw(listener);
+  ASSERT_GE(raw, 0);
+  auto channel = listener.accept().value();
+
+  std::vector<std::uint8_t> coalesced;
+  append_frame(coalesced, 3, 1);
+  append_frame(coalesced, 0, 0);
+  append_frame(coalesced, 5, 3);
+  ASSERT_EQ(::send(raw, coalesced.data(), coalesced.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(coalesced.size()));
+  std::vector<std::uint8_t> out;
+  ASSERT_TRUE(channel.receive_into(out, 2000).is_ok());
+  EXPECT_EQ(out, std::vector<std::uint8_t>(3, 1));
+  ASSERT_TRUE(channel.receive_into(out, 0).is_ok());
+  EXPECT_TRUE(out.empty());
+  ASSERT_TRUE(channel.receive_into(out, 0).is_ok());
+  EXPECT_EQ(out, std::vector<std::uint8_t>(5, 3));
+  EXPECT_EQ(channel.receive_into(out, 0).code(), ErrorCode::kTimeout);
+
+  constexpr std::size_t kBig = 200 * 1000;
+  std::vector<std::uint8_t> big;
+  append_frame(big, kBig, 0);
+  for (std::size_t i = 0; i < kBig; ++i)
+    big[kFrameHeaderBytes + i] = static_cast<std::uint8_t>(i * 7);
+  std::thread trickle([&] {
+    for (const std::uint8_t byte : big)
+      if (::send(raw, &byte, 1, MSG_NOSIGNAL) != 1) return;
+  });
+  Status got = channel.receive_into(out, 5000);
+  trickle.join();
+  ASSERT_TRUE(got.is_ok()) << got.to_string();
+  EXPECT_TRUE(std::equal(out.begin(), out.end(),
+                         big.begin() + kFrameHeaderBytes, big.end()));
+  EXPECT_EQ(out.size(), kBig);
+  ::close(raw);
+}
+
+// StallingReader counts the wire bytes of the frames it consumed, not the
+// bytes its channel read ahead: it parks after exactly the frames that
+// cover its budget, and the rest stay buffered, in order.
+TEST(Channel, StallingReaderCountsConsumedFramesNotReadAhead) {
+  auto [a, b] = Channel::pipe().value();
+  for (std::uint8_t i = 0; i < 5; ++i)
+    ASSERT_TRUE(a.send(std::vector<std::uint8_t>(96, i)).is_ok());
+  StallingReader reader(std::move(b));
+  auto drained =
+      reader.consume_then_stall(FaultAction::stall_reads_after(250), 2000);
+  ASSERT_TRUE(drained.is_ok()) << drained.status().to_string();
+  EXPECT_EQ(drained.value(), 3u);
+  EXPECT_EQ(reader.bytes_consumed(), 3 * (96 + kFrameHeaderBytes));
+  std::vector<std::uint8_t> out;
+  for (std::uint8_t i = 3; i < 5; ++i) {
+    ASSERT_TRUE(reader.channel().receive_into(out, 0).is_ok());
+    EXPECT_EQ(out, std::vector<std::uint8_t>(96, i));
+  }
 }
 
 TEST(Channel, AcceptTimeout) {

@@ -317,13 +317,13 @@ TEST(SessionOverload, DisconnectSeversInsteadOfBuffering) {
   }
 }
 
-// Satellite regression: the liveness blind spot. Before the channel send
-// deadline existed, a sender wedged in send_all toward a peer that
-// stopped reading could hang past any liveness deadline — outbound
-// blocking starved the inbound liveness check. Now the channel bounds the
-// send, and transmit_record converts "send blocked a whole liveness
-// window with nothing inbound" into the same kTimeout verdict a silent
-// receive would produce.
+// Regression: the liveness blind spot. Before the channel send deadline
+// existed, a sender wedged in a blocking send toward a peer that stopped
+// reading could hang past any liveness deadline — outbound blocking
+// starved the inbound liveness check. Now the session's flush bounds
+// each stall with the channel's send deadline, and send() converts "send
+// blocked a whole liveness window with nothing inbound" into the same
+// kTimeout verdict a silent receive would produce.
 TEST(SessionOverload, LivenessDeadlineCoversBlockedSends) {
   pbio::FormatRegistry sender_registry;
   auto listener = net::ChannelListener::listen(0).value();

@@ -693,6 +693,50 @@ TEST(Session, TimeoutMidFrameKeepsTheStreamFramed) {
   EXPECT_EQ(receiver.malformed_frames(), 0u);
 }
 
+// Frames that arrived together are read ahead into the channel: the
+// records behind the first come out of receive_view(0) without a wait on
+// the socket, which read-ahead already drained.
+TEST(Session, CoalescedFramesAreNotHiddenBehindThePoll) {
+  pbio::FormatRegistry sender_registry, receiver_registry;
+  auto listener = net::ChannelListener::listen(0).value();
+  RawPeer peer(listener.port());
+  ASSERT_TRUE(peer.connected());
+  MessageSession receiver(listener.accept(2000).value(), receiver_registry);
+
+  auto format = reading_format(sender_registry);
+  auto encoder = pbio::Encoder::make(format).value();
+  std::vector<float> series = {1.5f, 2.5f};
+  char site[] = "coalesced";
+  ByteBuffer announcement;
+  announcement.append_byte(0x01);
+  pbio::serialize_format(*format, announcement);
+  std::vector<std::uint8_t> stream = wire_frame(announcement.span());
+  for (std::uint8_t seq = 1; seq <= 3; ++seq) {
+    Reading in{seq, 2, series.data(), site};
+    std::vector<std::uint8_t> record = {0x02, seq, 0, 0, 0, 0, 0, 0, 0};
+    const auto encoded = encoder.encode_to_vector(&in).value();
+    record.insert(record.end(), encoded.begin(), encoded.end());
+    const std::vector<std::uint8_t> frame = wire_frame(record);
+    stream.insert(stream.end(), frame.begin(), frame.end());
+  }
+  ASSERT_TRUE(peer.write(stream));
+
+  pbio::Decoder decoder(receiver_registry);
+  Arena arena;
+  for (int seq = 1; seq <= 3; ++seq) {
+    auto incoming = receiver.receive_view(seq == 1 ? 1000 : 0);
+    ASSERT_TRUE(incoming.is_ok())
+        << "record " << seq << ": " << incoming.status().to_string();
+    Reading out{};
+    ASSERT_TRUE(decoder
+                    .decode(incoming.value().bytes,
+                            *incoming.value().sender_format, &out, arena)
+                    .is_ok());
+    EXPECT_EQ(out.id, seq);
+  }
+  EXPECT_EQ(receiver.receive_view(0).code(), ErrorCode::kTimeout);
+}
+
 // Records larger than the socket buffers arrive in pieces, so the
 // receive_batch drain (receive_view(0)) regularly stops mid-frame. A
 // plain pair must still deliver every record, in order and intact.

@@ -162,6 +162,54 @@ TEST(ZeroAlloc, FlatRecordRoundTripAllocatesNothingAfterWarmup) {
       << "steady-state flat round-trip touched the heap";
 }
 
+// The same flat round trip over a flow-controlled pair: every send also
+// sweeps the wire for grants (none waiting is not an error string), and
+// the in-flight credit ledger keeps its capacity as acks retire records.
+TEST(ZeroAlloc, FlowControlledRoundTripAllocatesNothingAfterWarmup) {
+  FormatRegistry reg_a;
+  FormatRegistry reg_b;
+  session::SessionOptions options;
+  options.flow_control = true;
+  auto pair = make_session_pipe(reg_a, reg_b, options).value();
+  auto format_a =
+      reg_a.register_format("Flat", flat_fields(), sizeof(Flat)).value();
+  auto receiver =
+      reg_b.register_format("Flat", flat_fields(), sizeof(Flat)).value();
+  auto encoder = Encoder::make(format_a).value();
+
+  Arena arena;
+  pbio::Decoder decoder(reg_b);
+  Flat record{1, 2.5f, 3, 4};
+  Flat out{};
+
+  auto round_trip = [&]() -> bool {
+    record.a += 1;
+    if (!pair.a.send(encoder, &record).is_ok()) return false;
+    auto incoming = pair.b.receive_view(1000);
+    if (!incoming.is_ok()) return false;
+    arena.rewind();
+    if (!decoder
+             .decode(incoming.value().bytes, *receiver, &out, arena)
+             .is_ok())
+      return false;
+    return out.a == record.a && out.b == record.b && out.d == record.d;
+  };
+
+  // The receiver's first receive seeds the sender's credit.
+  (void)pair.b.receive_view(10);
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(round_trip()) << "warmup " << i;
+
+  g_allocations.store(0);
+  g_counting.store(true);
+  bool all_ok = true;
+  for (int i = 0; i < 100; ++i) all_ok = round_trip() && all_ok;
+  g_counting.store(false);
+
+  EXPECT_TRUE(all_ok);
+  EXPECT_EQ(g_allocations.load(), 0u)
+      << "steady-state flow-controlled round-trip touched the heap";
+}
+
 // Var-bearing record: payload slices ship from caller memory, the decode
 // arena is rewound (capacity retained) between records.
 struct WithArray {

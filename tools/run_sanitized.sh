@@ -6,6 +6,7 @@
 #   tools/run_sanitized.sh LABEL... [--build-root DIR]
 #
 # Labels with a known test set build only those targets:
+#   transport Channel frame writer/assembler, sessions, zero-alloc paths
 #   chaos     per-byte kill matrix, TCP kill/RST injection, liveness personas
 #   overload  every SlowConsumerPolicy against the slow-consumer personas
 #   crash     durable-log kill matrix, injected storage faults, rebirth
@@ -49,6 +50,7 @@ fi
 # Prints the build targets behind a label, or nothing for "build all".
 targets_for() {
   case "$1" in
+    transport) echo net_test session_test zero_alloc_test ;;
     chaos) echo session_chaos_test ;;
     overload) echo session_overload_test ;;
     crash) echo storage_crash_test ;;
