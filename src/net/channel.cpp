@@ -34,6 +34,7 @@ Channel& Channel::operator=(Channel&& other) noexcept {
     fd_ = std::exchange(other.fd_, -1);
     sent_ = other.sent_;
     bytes_sent_ = other.bytes_sent_;
+    send_calls_ = other.send_calls_;
     send_deadline_ms_ = other.send_deadline_ms_;
     failure_ = other.failure_;
     failure_budget_ = other.failure_budget_;
@@ -109,9 +110,10 @@ Status Channel::send(std::span<const std::uint8_t> message) {
 
 Status Channel::send_gather(std::span<const IoSlice> slices) {
   const auto start = std::chrono::steady_clock::now();
-  std::size_t cursor = 0;
+  const FrameSlices frame = slices;
+  SendProgress at;
   for (;;) {
-    Status sent = send_some(slices, cursor);
+    Status sent = send_some(std::span<const FrameSlices>(&frame, 1), at);
     if (sent.code() != ErrorCode::kUnavailable) return sent;
     int wait = -1;
     if (send_deadline_ms_ >= 0) {
@@ -131,30 +133,29 @@ Status Channel::send_gather(std::span<const IoSlice> slices) {
   }
 }
 
-Status Channel::send_some(std::span<const IoSlice> slices,
-                          std::size_t& cursor) {
+Status Channel::send_some(std::span<const FrameSlices> frames,
+                          SendProgress& at) {
   if (fd_ < 0) return make_error(ErrorCode::kIoError, "channel is closed");
-  std::uint64_t total = 0;
-  for (const IoSlice& s : slices) total += s.size;
-  if (total > kMaxFrameBytes)
-    return make_error(ErrorCode::kInvalidArgument, "message too large");
-  std::uint8_t header[kFrameHeaderBytes];
-  store_with_order<std::uint32_t>(header, static_cast<std::uint32_t>(total),
-                                  ByteOrder::kLittle);
-  const std::size_t wire = static_cast<std::size_t>(total) + sizeof(header);
-  constexpr std::size_t kIovBatch = 64;
+  constexpr std::size_t kIovBatch = 512;
+  const auto payload_bytes = [](FrameSlices frame) {
+    std::uint64_t total = 0;
+    for (const IoSlice& s : frame) total += s.size;
+    return total;
+  };
   for (;;) {
     if (failure_ != InjectedFailure::kNone && failure_budget_ == 0)
       return fail_injected();
-    if (cursor == wire) break;
-    // Gather what is left past the cursor, a batch of slices at a time,
-    // capped at an armed failure's remaining byte budget.
+    if (at.frames == frames.size()) return Status::ok();
+    // Gather what is left past `at`, frame after frame, up to the iovec
+    // batch and capped at an armed failure's remaining byte budget.
     std::size_t cap = failure_ != InjectedFailure::kNone
                           ? failure_budget_
                           : std::numeric_limits<std::size_t>::max();
     struct iovec iov[kIovBatch];
+    std::uint8_t headers[kIovBatch][kFrameHeaderBytes];
     std::size_t used = 0;
-    std::size_t skip = cursor;
+    std::size_t gathered = 0;
+    std::size_t skip = at.bytes;
     const auto add = [&](const void* data, std::size_t size) {
       if (skip >= size) {
         skip -= size;
@@ -167,13 +168,28 @@ Status Channel::send_some(std::span<const IoSlice> slices,
       iov[used].iov_len = take;
       ++used;
       cap -= take;
+      gathered += take;
       skip = 0;
     };
-    add(header, sizeof(header));
-    for (const IoSlice& s : slices) add(s.data, s.size);
+    for (std::size_t f = at.frames, count = 0;
+         f < frames.size() && used < kIovBatch && cap > 0 &&
+         gathered < kSendBatchBytes;
+         ++f, ++count) {
+      const std::uint64_t total = payload_bytes(frames[f]);
+      if (total > kMaxFrameBytes) {
+        if (count > 0) break;  // write the frames ahead of it first
+        return make_error(ErrorCode::kInvalidArgument, "message too large");
+      }
+      store_with_order<std::uint32_t>(headers[count],
+                                      static_cast<std::uint32_t>(total),
+                                      ByteOrder::kLittle);
+      add(headers[count], kFrameHeaderBytes);
+      for (const IoSlice& s : frames[f]) add(s.data, s.size);
+    }
     struct msghdr msg{};
     msg.msg_iov = iov;
     msg.msg_iovlen = used;
+    ++send_calls_;
     ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
@@ -182,13 +198,24 @@ Status Channel::send_some(std::span<const IoSlice> slices,
       return make_error(ErrorCode::kIoError,
                         std::string("channel send failed: ") +
                             std::strerror(errno));
-    cursor += static_cast<std::size_t>(n);
     if (failure_ != InjectedFailure::kNone)
       failure_budget_ -= static_cast<std::size_t>(n);
+    // Advance past every frame the write finished.
+    for (auto left = static_cast<std::size_t>(n); left > 0;) {
+      const std::size_t wire =
+          static_cast<std::size_t>(payload_bytes(frames[at.frames])) +
+          kFrameHeaderBytes;
+      if (left < wire - at.bytes) {
+        at.bytes += left;
+        break;
+      }
+      left -= wire - at.bytes;
+      ++at.frames;
+      at.bytes = 0;
+      ++sent_;
+      bytes_sent_ += wire;
+    }
   }
-  ++sent_;
-  bytes_sent_ += wire;
-  return Status::ok();
 }
 
 Status Channel::fail_injected() {

@@ -7,15 +7,18 @@
 // payload-agnostic, exactly like the transport layer beneath a BCM.
 //
 // This is the only module that knows the wire frame, [u32 LE length |
-// payload]. One writer, send_some, stores the length prefix; every send
-// path (send, send_gather, MessageSession's writer) is a loop around it.
-// One assembler, try_receive, loads the prefix; receive_into and
-// MessageSession's reader are poll loops around it. The assembler reads
-// ahead: one recv may pull several frames, or the start of the next,
-// into the channel's buffer, and a frame already buffered is returned
-// without waiting on the socket. Partial frames stay buffered across
-// calls and die with the Channel object. The writer and the assembler
-// share no state, so one thread may send while another receives.
+// payload]. One writer, send_some, stores the length prefixes: it writes a
+// run of frames, as many as one sendmsg can carry, so a caller holding
+// many ready frames pays one syscall per run rather than one per frame.
+// Every send path (send, send_gather, MessageSession's writer) is a call
+// of it; the one-frame forms pass a run of one. One assembler,
+// try_receive, loads the prefix; receive_into and MessageSession's reader
+// are poll loops around it. The assembler reads ahead: one recv may pull
+// several frames, or the start of the next, into the channel's buffer,
+// and a frame already buffered is returned without waiting on the socket.
+// Partial frames stay buffered across calls and die with the Channel
+// object. The writer and the assembler share no state, so one thread may
+// send while another receives.
 #pragma once
 
 #include <cstddef>
@@ -32,6 +35,21 @@ namespace xmit::net {
 
 // Bytes of the u32 length prefix in front of every frame's payload.
 inline constexpr std::size_t kFrameHeaderBytes = 4;
+
+// send_some starts another frame in the same sendmsg only while the bytes
+// gathered for it stay under this; a frame it starts goes in whole (up to
+// the iovec batch), so one large frame still takes one syscall.
+inline constexpr std::size_t kSendBatchBytes = 64 * 1024;
+
+// One frame of a gathered write: its payload is the concatenation of the
+// slices.
+using FrameSlices = std::span<const IoSlice>;
+
+// How far a gathered write got through its run of frames.
+struct SendProgress {
+  std::size_t frames = 0;  // frames of the run entirely on the wire
+  std::size_t bytes = 0;   // wire bytes of the next frame already written
+};
 
 // Test seam for the chaos harness: a channel can be armed to die after a
 // byte budget, modelling a peer crash (kill: already-written bytes stay in
@@ -75,20 +93,24 @@ class Channel {
     return send(std::span<const std::uint8_t>(message));
   }
 
-  // The single writer: a nonblocking framed gather send with partial-write
-  // resumption. The frame's payload is the concatenation of `slices`, and
-  // `cursor` tracks progress through its wire image ([kFrameHeaderBytes
-  // header | payload]). Callers start the cursor at 0 and pass it back
-  // until the frame completes. Bytes before the cursor are never read, so
-  // a caller resuming a frame whose head it no longer holds may pass a
-  // placeholder slice of the same length. Returns OK when the whole frame
-  // is on the wire, kUnavailable (with no message, so nothing is
-  // allocated) when the socket would block (the cursor says how far it
-  // got), and kIoError on a dead transport. An armed failure (see
-  // arm_failure) is applied here, each sendmsg capped at the budget left.
-  // A frame abandoned mid-cursor leaves the stream unframeable: the only
-  // safe next step is close().
-  Status send_some(std::span<const IoSlice> slices, std::size_t& cursor);
+  // The single writer: a nonblocking framed gather send of a run of
+  // frames, with partial-write resumption. Each frame goes out as
+  // [kFrameHeaderBytes header | payload]; `at` says how far the run has
+  // got. Callers start it at {0, 0} and pass it back until the run
+  // completes. Bytes before it are never read, so a caller resuming a
+  // frame whose head it no longer holds may pass a placeholder slice of
+  // the same length. Each sendmsg gathers whole and partial frames up to
+  // a fixed iovec batch, starting frames only while under kSendBatchBytes,
+  // and the call loops until the run is written or the socket is full.
+  // Returns OK when the whole run is on the wire, kUnavailable (with no
+  // message, so nothing is allocated) when the socket would block, and
+  // kIoError on a dead transport; on every return `at` counts the frames
+  // written whole and the bytes of the one cut short. messages_sent() and
+  // bytes_sent() grow only by whole frames. An armed failure (see
+  // arm_failure) is applied here, each sendmsg capped at the budget left,
+  // across frame boundaries. A frame abandoned mid-way leaves the stream
+  // unframeable: the only safe next step is close().
+  Status send_some(std::span<const FrameSlices> frames, SendProgress& at);
 
   // True when a send of at least one byte would not block (POLLOUT within
   // timeout_ms; 0 = poll-and-return).
@@ -103,9 +125,10 @@ class Channel {
   int send_deadline_ms() const { return send_deadline_ms_; }
 
   // Blocking send of one frame whose payload is the concatenation of
-  // `slices`: send_some, waiting in poll_writable under the send deadline
-  // whenever the socket is full. Nothing is copied into an intermediate
-  // buffer and nothing is heap-allocated, for any slice count.
+  // `slices`: send_some of a run of one, waiting in poll_writable under
+  // the send deadline whenever the socket is full. Nothing is copied into
+  // an intermediate buffer and nothing is heap-allocated, for any slice
+  // count.
   Status send_gather(std::span<const IoSlice> slices);
 
   // Waits for the next complete frame; see receive_into.
@@ -151,6 +174,8 @@ class Channel {
 
   std::size_t messages_sent() const { return sent_; }
   std::size_t bytes_sent() const { return bytes_sent_; }
+  // sendmsg calls made, including those that found the socket full.
+  std::size_t send_calls() const { return send_calls_; }
 
  private:
   explicit Channel(int fd) : fd_(fd) {}
@@ -162,6 +187,7 @@ class Channel {
   int fd_ = -1;
   std::size_t sent_ = 0;
   std::size_t bytes_sent_ = 0;
+  std::size_t send_calls_ = 0;
   int send_deadline_ms_ = -1;  // <0: block indefinitely (legacy behaviour)
   InjectedFailure failure_ = InjectedFailure::kNone;
   std::size_t failure_budget_ = 0;

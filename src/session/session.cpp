@@ -638,10 +638,20 @@ void MessageSession::maybe_grant(bool force) {
 Status MessageSession::write_frame(std::span<const IoSlice> frame,
                                    FrameKind kind, std::uint64_t seq,
                                    std::vector<std::uint8_t>* owned) {
-  std::size_t cursor = 0;
-  Status sent = channel_.send_some(frame, cursor);
+  const net::FrameSlices one = frame;
+  net::SendProgress at;
+  Status sent =
+      channel_.send_some(std::span<const net::FrameSlices>(&one, 1), at);
   if (sent.is_ok()) return sent;
-  if (sent.code() != ErrorCode::kUnavailable || cursor == 0) return sent;
+  if (sent.code() != ErrorCode::kUnavailable || at.bytes == 0) return sent;
+  hold_midwire(frame, kind, seq, at.bytes, owned);
+  return Status::ok();
+}
+
+void MessageSession::hold_midwire(std::span<const IoSlice> frame,
+                                  FrameKind kind, std::uint64_t seq,
+                                  std::size_t cursor,
+                                  std::vector<std::uint8_t>* owned) {
   // Part of the frame is on the wire: keep only what it still owes, or all
   // of a control frame (they are small), which a dead transport re-queues.
   const std::size_t written =
@@ -657,7 +667,6 @@ Status MessageSession::write_frame(std::span<const IoSlice> frame,
     midwire_.tail.swap(*owned);
   else
     append_slices(midwire_.tail, frame, written);
-  return Status::ok();
 }
 
 Status MessageSession::emit_control(std::span<const std::uint8_t> frame,
@@ -714,13 +723,14 @@ Status MessageSession::emit_record(std::uint64_t seq,
 }
 
 bool MessageSession::credit_allows(std::uint64_t seq,
-                                   std::size_t payload_bytes) const {
+                                   std::size_t payload_bytes,
+                                   std::uint64_t pending) const {
   if (!options_.flow_control) return true;
   if (seq > credit_seq_limit_) return false;
   // One frame always rides a quiet wire, however large.
-  return inflight_bytes_ == 0 ||
-         inflight_bytes_ + net::kFrameHeaderBytes + payload_bytes <=
-             credit_bytes_window_;
+  const std::uint64_t inflight = inflight_bytes_ + pending;
+  return inflight == 0 || inflight + net::kFrameHeaderBytes + payload_bytes <=
+                              credit_bytes_window_;
 }
 
 void MessageSession::note_transmitted(std::uint64_t seq,
@@ -736,80 +746,242 @@ Status MessageSession::pump() {
   for (;;) {
     if (!channel_.is_open())
       return Status(ErrorCode::kIoError, "channel is closed");
-    // 1. A frame mid-wire owns the wire until its last byte.
-    if (midwire_.cursor != 0) {
-      const IoSlice rest[2] = {{midwire_.tail.data(), midwire_.offset},
-                               {midwire_.tail.data(), midwire_.tail.size()}};
-      Status sent = channel_.send_some(std::span<const IoSlice>(rest, 2),
-                                       midwire_.cursor);
-      XMIT_RETURN_IF_ERROR(sent);
-      midwire_.cursor = 0;
-      continue;
+    const std::size_t n = stage_run();
+    if (n == 0) return Status::ok();  // drained, or waiting for credit
+    net::SendProgress at;
+    if (run_[0].source == RunSource::kMidWire) at.bytes = midwire_.cursor;
+    Status sent = channel_.send_some(
+        std::span<const net::FrameSlices>(run_frames_.data(), n), at);
+    commit_run(n, at, sent);
+    XMIT_RETURN_IF_ERROR(sent);
+  }
+}
+
+std::size_t MessageSession::stage_run() {
+  std::size_t staged_bytes = 0;
+  run_.clear();
+  announce_scratch_.clear();
+  const auto room = [&] {
+    return run_.size() < kRunFrames && staged_bytes < net::kSendBatchBytes;
+  };
+  const auto push = [&](const RunFrame& frame) {
+    run_.push_back(frame);
+    staged_bytes += net::kFrameHeaderBytes + frame.bytes;
+  };
+  // Schema ahead of data on re-sends: a record whose format the peer may
+  // not know goes out behind its announcement, in the same run.
+  const auto push_record = [&](const RunFrame& record) {
+    pbio::FormatPtr format;
+    if (record.format_id != 0 && !announced_.contains(record.format_id) &&
+        std::none_of(run_.begin(), run_.end(), [&](const RunFrame& f) {
+          return f.source == RunSource::kAnnounce &&
+                 f.format_id == record.format_id;
+        })) {
+      auto found = registry_->by_id(record.format_id);
+      if (found.is_ok()) format = std::move(found).value();
     }
-    // 2. Credit-exempt control traffic.
-    if (!control_queue_.empty()) {
-      QueuedFrame& front = control_queue_.front();
-      const IoSlice slice = {front.frame.data(), front.frame.size()};
-      XMIT_RETURN_IF_ERROR(write_frame(std::span<const IoSlice>(&slice, 1),
-                                       FrameKind::kControl, 0, &front.frame));
-      control_queue_.pop_front();
-      continue;
+    if (run_.size() + (format ? 2 : 1) > kRunFrames) return false;
+    if (format) {
+      RunFrame announcement;
+      announcement.source = RunSource::kAnnounce;
+      announcement.seq = record.seq;
+      announcement.format_id = record.format_id;
+      announcement.announce_at = announce_scratch_.size();
+      announce_scratch_.append_byte(kTagFormat);
+      serialize_format(*format, announce_scratch_);
+      announcement.bytes =
+          announce_scratch_.size() - announcement.announce_at;
+      push(announcement);
     }
-    // 3. Data, in sequence position.
-    QueuedFrame* front = send_queue_.empty() ? nullptr : &send_queue_.front();
+    push(record);
+    return true;
+  };
+
+  // 1. A frame mid-wire owns the wire until its last byte.
+  if (midwire_.cursor != 0) {
+    RunFrame frame;
+    frame.source = RunSource::kMidWire;
+    frame.slices = {IoSlice{midwire_.tail.data(), midwire_.offset},
+                    IoSlice{midwire_.tail.data(), midwire_.tail.size()}};
+    frame.slice_count = 2;
+    frame.bytes = midwire_.tail.size();
+    push(frame);
+  }
+  // 2. Credit-exempt control traffic, all of it ahead of any data.
+  for (const QueuedFrame& queued : control_queue_) {
+    if (!room()) break;
+    RunFrame frame;
+    frame.source = RunSource::kControl;
+    frame.slices[0] = {queued.frame.data(), queued.frame.size()};
+    frame.bytes = queued.frame.size();
+    push(frame);
+  }
+  // 3. Data, in sequence position, against a copy of the send state: the
+  // queue entry the run has reached, the next seq owed, and the credit the
+  // staged frames will take.
+  const bool controls_staged =
+      run_.size() == control_queue_.size() + (midwire_.cursor != 0 ? 1 : 0);
+  std::size_t q = 0;               // the send_queue_ entry reached
+  std::uint64_t history_next = 0;  // progress through a history entry
+  std::uint64_t transmit = next_transmit_seq_;
+  std::uint64_t credit_pending = 0;
+  bool data_staged = false;  // a staged frame commits against the queue
+  bool pinned = false;       // staged spans point into the log's image
+  RunFrame held;             // the record load_held found
+  while (controls_staged && room()) {
+    QueuedFrame* front = q < send_queue_.size() ? &send_queue_[q] : nullptr;
     if (front != nullptr && front->kind == FrameKind::kHistory) {
-      std::uint64_t seq = front->seq;
-      if (!load_held(seq, front->last, held_)) {
+      std::uint64_t seq = std::max(front->seq, history_next);
+      const Held found = load_held(seq, front->last, held, pinned);
+      if (found == Held::kLater) break;
+      if (found == Held::kNone) {
+        // Nothing left of the range is held: drop it, unless staged frames
+        // still commit against it.
+        if (data_staged) break;
         send_queue_.pop_front();
         continue;
       }
-      front->seq = seq;
-      if (reannounce(held_.format_id, seq)) continue;
-      XMIT_RETURN_IF_ERROR(
-          write_frame(held_.slices, FrameKind::kHistory, seq, nullptr));
-      ++replayed_records_;
-      if (++front->seq > front->last) send_queue_.pop_front();
+      held.source = RunSource::kHistory;
+      if (!push_record(held)) break;
+      data_staged = true;
+      pinned = pinned || held.from_log;
+      history_next = seq + 1;
+      if (seq == front->last) {
+        ++q;
+        history_next = 0;
+      }
       continue;
     }
     if (front != nullptr && front->kind == FrameKind::kNotice) {
-      const IoSlice slice = {front->frame.data(), front->frame.size()};
-      XMIT_RETURN_IF_ERROR(write_frame(std::span<const IoSlice>(&slice, 1),
-                                       FrameKind::kNotice, front->seq,
-                                       &front->frame));
-      next_transmit_seq_ = std::max(next_transmit_seq_, front->seq + 1);
-      send_queue_.pop_front();
+      RunFrame frame;
+      frame.source = RunSource::kNotice;
+      frame.seq = front->seq;
+      frame.slices[0] = {front->frame.data(), front->frame.size()};
+      frame.bytes = front->frame.size();
+      push(frame);
+      data_staged = true;
+      transmit = std::max(transmit, front->seq + 1);
+      ++q;
       continue;
     }
     // A gap before the next queued record: records kSpillToLog dropped come
     // back from the replay buffer or the log as the next data frames; ones
     // held nowhere are skipped, and the receiver reports the gap.
     const std::uint64_t due = front != nullptr ? front->seq : next_seq_;
-    if (next_transmit_seq_ < due) {
-      std::uint64_t seq = next_transmit_seq_;
-      if (!load_held(seq, due - 1, held_)) {
-        next_transmit_seq_ = due;
+    if (transmit < due) {
+      std::uint64_t seq = transmit;
+      const Held found = load_held(seq, due - 1, held, pinned);
+      if (found == Held::kLater) break;
+      if (found == Held::kNone) {
+        if (data_staged) break;
+        next_transmit_seq_ = transmit = due;
         continue;
       }
-      next_transmit_seq_ = seq;
-      if (!credit_allows(seq, held_.bytes)) return Status::ok();
-      if (reannounce(held_.format_id, seq)) continue;
-      XMIT_RETURN_IF_ERROR(
-          write_frame(held_.slices, FrameKind::kData, seq, nullptr));
-      note_transmitted(seq, held_.bytes);
+      if (!credit_allows(seq, held.bytes, credit_pending)) break;
+      held.source = RunSource::kResend;
+      if (!push_record(held)) break;
+      data_staged = true;
+      pinned = pinned || held.from_log;
+      transmit = seq + 1;
+      credit_pending += net::kFrameHeaderBytes + held.bytes;
       continue;
     }
-    if (front == nullptr) return Status::ok();  // drained
+    if (front == nullptr) break;  // drained
     const std::size_t bytes = front->frame.size();
-    if (!credit_allows(front->seq, bytes)) return Status::ok();
-    if (reannounce(front->format_id, front->seq)) continue;
-    const IoSlice slice = {front->frame.data(), bytes};
-    XMIT_RETURN_IF_ERROR(write_frame(std::span<const IoSlice>(&slice, 1),
-                                     FrameKind::kData, front->seq,
-                                     &front->frame));
-    note_transmitted(front->seq, bytes);
-    --data_queue_records_;
-    data_queue_bytes_ -= bytes;
-    send_queue_.pop_front();
+    if (!credit_allows(front->seq, bytes, credit_pending)) break;
+    RunFrame frame;
+    frame.source = RunSource::kQueued;
+    frame.seq = front->seq;
+    frame.format_id = front->format_id;
+    frame.slices[0] = {front->frame.data(), bytes};
+    frame.bytes = bytes;
+    if (!push_record(frame)) break;
+    data_staged = true;
+    transmit = front->seq + 1;
+    credit_pending += net::kFrameHeaderBytes + bytes;
+    ++q;
+  }
+  // Slices into the run table itself are set once its entries stop moving.
+  run_frames_.clear();
+  for (RunFrame& frame : run_) {
+    if (frame.source == RunSource::kAnnounce)
+      frame.slices[0] = {announce_scratch_.data() + frame.announce_at,
+                         frame.bytes};
+    else if (frame.from_log)
+      frame.slices[0] = {frame.head.data(), frame.head.size()};
+    run_frames_.emplace_back(frame.slices.data(), frame.slice_count);
+  }
+  return run_.size();
+}
+
+void MessageSession::commit_run(std::size_t n, const net::SendProgress& at,
+                                const Status& sent) {
+  // Every frame written whole commits; so does one the full socket cut
+  // short, its rest kept in midwire_. One a dead transport cut short does
+  // not: the resume re-sends what it carried.
+  const bool cut = sent.code() == ErrorCode::kUnavailable && at.bytes > 0;
+  const std::size_t committed = at.frames + (cut ? 1 : 0);
+  for (std::size_t i = 0; i < committed; ++i)
+    commit_frame(run_[i], i == at.frames ? at.bytes : 0);
+  // Logged records staged but not started: the cursor steps back to the
+  // first of them, its payload still in the image the cursor holds.
+  for (std::size_t i = committed; i < n; ++i) {
+    const RunFrame& frame = run_[i];
+    if (!frame.from_log) continue;
+    log_item_ = {frame.seq, frame.format_id,
+                 {static_cast<const std::uint8_t*>(frame.slices[1].data),
+                  frame.slices[1].size}};
+    log_cursor_->seek(frame.after_read);
+    break;
+  }
+}
+
+void MessageSession::commit_frame(const RunFrame& frame, std::size_t cut_at) {
+  const std::span<const IoSlice> slices(frame.slices.data(),
+                                        frame.slice_count);
+  // The frame cut short `cut_at` wire bytes in becomes the mid-wire frame.
+  const auto hold = [&](FrameKind kind, std::vector<std::uint8_t>* owned) {
+    if (cut_at != 0) hold_midwire(slices, kind, frame.seq, cut_at, owned);
+  };
+  switch (frame.source) {
+    case RunSource::kMidWire:
+      midwire_.cursor = cut_at;
+      return;
+    case RunSource::kControl:
+      hold(FrameKind::kControl, &control_queue_.front().frame);
+      control_queue_.pop_front();
+      return;
+    case RunSource::kAnnounce:
+      hold(FrameKind::kControl, nullptr);
+      announced_.insert(frame.format_id);
+      announce_seq_[frame.format_id] = frame.seq;
+      ++announcements_sent_;
+      metadata_bytes_sent_ += frame.bytes;
+      return;
+    case RunSource::kHistory: {
+      hold(FrameKind::kHistory, nullptr);
+      ++replayed_records_;
+      QueuedFrame& range = send_queue_.front();
+      range.seq = frame.seq + 1;
+      if (range.seq > range.last) send_queue_.pop_front();
+      return;
+    }
+    case RunSource::kNotice:
+      hold(FrameKind::kNotice, &send_queue_.front().frame);
+      next_transmit_seq_ = std::max(next_transmit_seq_, frame.seq + 1);
+      send_queue_.pop_front();
+      return;
+    case RunSource::kResend:
+      hold(FrameKind::kData, nullptr);
+      note_transmitted(frame.seq, frame.bytes);
+      return;
+    case RunSource::kQueued:
+      hold(FrameKind::kData, &send_queue_.front().frame);
+      note_transmitted(frame.seq, frame.bytes);
+      --data_queue_records_;
+      data_queue_bytes_ -= frame.bytes;
+      send_queue_.pop_front();
+      return;
   }
 }
 
@@ -862,16 +1034,9 @@ Status MessageSession::announce_frame(const pbio::Format& format,
   return sent;
 }
 
-bool MessageSession::reannounce(pbio::FormatId id, std::uint64_t seq) {
-  if (id == 0 || announced_.contains(id)) return false;
-  auto format = registry_->by_id(id);
-  if (!format.is_ok()) return false;
-  (void)announce_frame(*format.value(), seq);  // a dead transport is noted
-  return true;
-}
-
-bool MessageSession::load_held(std::uint64_t& seq, std::uint64_t last,
-                               HeldFrame& out) {
+MessageSession::Held MessageSession::load_held(std::uint64_t& seq,
+                                              std::uint64_t last,
+                                              RunFrame& out, bool pinned) {
   constexpr std::uint64_t kNone = ~0ull;
   const auto entry = std::lower_bound(
       replay_.begin(), replay_.end(), seq,
@@ -882,20 +1047,31 @@ bool MessageSession::load_held(std::uint64_t& seq, std::uint64_t last,
           ? std::max(seq, log_->first_seq())
           : kNone;
   seq = std::min(in_memory, on_disk);
-  if (seq > last) return false;
+  if (seq > last) return Held::kNone;
+  out = RunFrame{};
+  out.seq = seq;
   if (seq == in_memory) {  // the buffer first: a hit costs no disk read
-    out.slices[0] = {entry->frame.data(), 0};
-    out.slices[1] = {entry->frame.data(), entry->frame.size()};
+    out.slices[0] = {entry->frame.data(), entry->frame.size()};
     out.format_id = entry->format_id;
   } else {
-    if (!read_log(seq)) return false;
+    // The run's earlier log records point into the cursor's segment
+    // image: a read that would replace it waits for the next run.
+    if (pinned && !(log_cursor_ && log_item_.seq <= seq &&
+                    (log_item_.seq == seq ||
+                     log_cursor_->reaches_in_place(seq))))
+      return Held::kLater;
+    if (!read_log(seq)) return Held::kNone;
     store_record_head(out.head.data(), seq);
     out.slices[0] = {out.head.data(), out.head.size()};
     out.slices[1] = {log_item_.payload.data(), log_item_.payload.size()};
+    out.slice_count = 2;
     out.format_id = log_item_.format_id;
+    out.from_log = true;
+    out.after_read = log_cursor_->position();
   }
-  out.bytes = out.slices[0].size + out.slices[1].size;
-  return true;
+  out.bytes = slices_bytes(std::span<const IoSlice>(out.slices.data(),
+                                                    out.slice_count));
+  return Held::kFrame;
 }
 
 bool MessageSession::read_log(std::uint64_t seq) {
@@ -909,8 +1085,10 @@ bool MessageSession::read_log(std::uint64_t seq) {
     auto more = log_cursor_->next(&log_item_);
     if (!more.is_ok()) durable_error_ = more.status();
     if (!more.is_ok() || !more.value()) {
-      log_cursor_.reset();
+      // The next read opens a fresh cursor. This one stays until then: a
+      // run's staged records may point into its segment image.
       log_item_ = {};
+      log_item_.seq = ~0ull;
       return false;
     }
   }

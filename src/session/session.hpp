@@ -36,16 +36,18 @@
 //
 // One writer, one reader. Every outgoing frame (records,
 // announcements, handshakes, heartbeats, grants, adverts, replay requests
-// and replays) goes through one routine: it finishes the single frame
-// allowed to be partially on the wire, then writes the new frame straight
-// from the caller's gather slices without blocking; only what cannot go
-// at once is queued. Control frames may pass queued data; records go out
-// in sequence order as the peer's credit allows. A session that does not
-// honour grants (no flow_control) simply has unlimited credit, and its
-// send() flushes, returning with the record on the wire. Every inbound
-// frame comes from the channel's buffered frame assembler, so a receive
-// that times out mid-frame keeps the bytes it already read. The session
-// deals in frames; only net::Channel knows how they are delimited.
+// and replays) goes out through the channel's one gather writer: a frame
+// with nothing ahead of it straight from the caller's gather slices
+// without blocking, and only what cannot go at once is queued. Queued
+// frames leave in runs, one write each: the single frame allowed to be
+// partially on the wire, then control frames, which may pass queued
+// data, then records in sequence order as the peer's credit allows. A
+// session that does not honour grants (no flow_control) simply has
+// unlimited credit, and its send() flushes, returning with the record on
+// the wire. Every inbound frame comes from the channel's buffered frame
+// assembler, so a receive that times out mid-frame keeps the bytes it
+// already read. The session deals in frames; only net::Channel knows how
+// they are delimited.
 //
 // Frame format: [1-byte tag | payload], each frame carried behind the
 // channel's u32 little-endian length prefix; integers little-endian.
@@ -470,28 +472,64 @@ class MessageSession {
     std::size_t offset = 0;
     std::size_t cursor = 0;  // wire bytes written; 0 = nothing mid-wire
   };
-  // A record to re-send: a replay-buffer entry, or a logged record.
-  struct HeldFrame {
-    std::array<std::uint8_t, 9> head{};
-    std::array<IoSlice, 2> slices{};
-    std::size_t bytes = 0;
-    pbio::FormatId format_id = 0;
+  // One frame of the run pump() writes with one send_some call, and what
+  // committing it changes once it is on the wire.
+  enum class RunSource : std::uint8_t {
+    kMidWire,   // midwire_'s remaining bytes
+    kControl,   // control_queue_'s front
+    kAnnounce,  // a re-announcement ahead of the record that needs it
+    kHistory,   // a re-sent record of the history range at send_queue_'s front
+    kNotice,    // the shed notice at send_queue_'s front
+    kResend,    // a record re-sent into a gap before the next queued record
+    kQueued,    // the data record at send_queue_'s front
   };
-  // The only routine that starts a frame on the wire. OK = committed (all
-  // written, or the unwritten tail kept in midwire_ — moved from `owned`
-  // when given, else copied, whole for a control frame); kUnavailable =
-  // nothing written.
+  struct RunFrame {
+    RunSource source = RunSource::kControl;
+    std::uint64_t seq = 0;
+    pbio::FormatId format_id = 0;  // records, and the format announced
+    std::size_t bytes = 0;         // frame payload bytes, tag included
+    std::array<std::uint8_t, 9> head{};  // [tag | seq] of a logged record
+    std::array<IoSlice, 2> slices{};
+    std::size_t slice_count = 1;
+    std::size_t announce_at = 0;  // kAnnounce: offset in announce_scratch_
+    // Read from the log: the cursor position just past this record.
+    bool from_log = false;
+    storage::RecordLog::Cursor::Position after_read;
+  };
+  // Frames one run holds at most; kSendBatchBytes bounds its bytes.
+  static constexpr std::size_t kRunFrames = 128;
+  // The only routine that starts a single frame on the wire. OK = committed
+  // (all written, or the unwritten tail kept in midwire_ — see
+  // hold_midwire); kUnavailable = nothing written.
   Status write_frame(std::span<const IoSlice> frame, FrameKind kind,
                      std::uint64_t seq, std::vector<std::uint8_t>* owned);
+  // Keeps a frame cut `cursor` wire bytes in as midwire_: the bytes it
+  // still owes (moved from `owned` when given, else copied), or all of a
+  // control frame, which a dead transport re-queues.
+  void hold_midwire(std::span<const IoSlice> frame, FrameKind kind,
+                    std::uint64_t seq, std::size_t cursor,
+                    std::vector<std::uint8_t>* owned);
   // Writes at once when nothing is ahead, else queues. A droppable frame
   // (ping, pong, grant) is skipped when the control queue is full; a
   // must-deliver one whose transport died under it waits for the next.
   Status emit_control(std::span<const std::uint8_t> frame, bool droppable);
   Status emit_record(std::uint64_t seq, pbio::FormatId format_id,
                      std::span<const IoSlice> frame);
-  // Mid-wire frame, control frames, then data as credit allows. OK = no
-  // more can go now; kUnavailable = the socket would block.
+  // Mid-wire frame, control frames, then data as credit allows, gathered
+  // into runs of one write each. OK = no more can go now; kUnavailable =
+  // the socket would block.
   Status pump();
+  // Fills run_ with the frames ready to go, in wire order; returns how
+  // many. Moves that write nothing (an exhausted history range, a gap
+  // held nowhere) are made at once when nothing staged depends on them,
+  // else end the run.
+  std::size_t stage_run();
+  // Commits what one write of run_[0, n) put on the wire: every frame
+  // written whole, and the one cut short, which becomes midwire_ (on
+  // kUnavailable only). Frames not started stay queued.
+  void commit_run(std::size_t n, const net::SendProgress& at,
+                  const Status& sent);
+  void commit_frame(const RunFrame& frame, std::size_t cut_at);
   // pump() until no more can go; the channel's send deadline bounds each
   // stall (time without a byte written), not the whole flush.
   Status flush();
@@ -504,14 +542,18 @@ class MessageSession {
   Status settle();
   // Sends one announcement; `seq` is the first record that may need it.
   Status announce_frame(const pbio::Format& format, std::uint64_t seq);
-  // Schema ahead of data on re-sends: true when `id` went out first.
-  bool reannounce(pbio::FormatId id, std::uint64_t seq);
-  // The first record in [seq, last] the replay buffer or the log holds.
-  bool load_held(std::uint64_t& seq, std::uint64_t last, HeldFrame& out);
+  // The first record in [seq, last] the replay buffer or the log holds,
+  // into `out`. kLater: it is on disk past the segment image the run's
+  // log spans point into (`pinned`), so the run must end first.
+  enum class Held : std::uint8_t { kFrame, kNone, kLater };
+  Held load_held(std::uint64_t& seq, std::uint64_t last, RunFrame& out,
+                 bool pinned);
   bool read_log(std::uint64_t seq);
   void queue_history(std::uint64_t first, std::uint64_t last);
   // Credit is counted in wire bytes: the payload plus its length prefix.
-  bool credit_allows(std::uint64_t seq, std::size_t payload_bytes) const;
+  // `pending` wire bytes are staged ahead of this frame in the same run.
+  bool credit_allows(std::uint64_t seq, std::size_t payload_bytes,
+                     std::uint64_t pending = 0) const;
   void note_transmitted(std::uint64_t seq, std::size_t payload_bytes);
   // A new transport: a record mid-wire rewinds the transmit cursor, a
   // notice mid-wire is re-queued, and handshakes, adverts and requests
@@ -656,7 +698,14 @@ class MessageSession {
   std::deque<QueuedFrame> send_queue_;
   std::size_t data_queue_records_ = 0;
   std::size_t data_queue_bytes_ = 0;
-  HeldFrame held_;  // the record a re-send is writing right now
+  // The run pump() is writing, filled afresh per run: its slices point into
+  // the queues, the replay buffer, the log cursor's segment image and
+  // announce_scratch_, which holds the run's re-announcements (no payload
+  // is copied). The tables keep their capacity, at most kRunFrames, so a
+  // steady stream of runs allocates nothing, and a session that never
+  // queues more than a frame never carries a full-size table.
+  std::vector<RunFrame> run_;
+  std::vector<net::FrameSlices> run_frames_;
   std::optional<storage::RecordLog::Cursor> log_cursor_;
   storage::RecordLog::Item log_item_;  // the cursor's current record
   std::uint64_t next_transmit_seq_ = 1;  // next data seq owed to the wire

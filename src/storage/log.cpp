@@ -379,6 +379,19 @@ Status RecordLog::Cursor::load_segment_for(std::uint64_t seq) {
   return Status::ok();
 }
 
+void RecordLog::Cursor::seek(const Position& at) {
+  next_seq_ = at.seq;
+  offset_ = at.offset;
+  if (at.segment != loaded_) loaded_ = SIZE_MAX;
+}
+
+bool RecordLog::Cursor::reaches_in_place(std::uint64_t seq) const {
+  return loaded_ != SIZE_MAX && seq >= next_seq_ && seq <= stop_seq_ &&
+         segments_[loaded_].base_seq <= next_seq_ &&
+         (loaded_ + 1 == segments_.size() ||
+          seq < segments_[loaded_ + 1].base_seq);
+}
+
 Result<bool> RecordLog::Cursor::next(Item* out) {
   while (true) {
     if (next_seq_ == 0 || next_seq_ > stop_seq_ || segments_.empty())

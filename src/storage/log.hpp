@@ -129,6 +129,21 @@ class RecordLog {
 
     std::uint64_t stop_seq() const { return stop_seq_; }
 
+    // Where next() resumes. Seeking back to a position taken under the
+    // segment image still loaded reads nothing from disk; a position from
+    // another image reloads the segment that holds it.
+    struct Position {
+      std::uint64_t seq = 0;
+      std::size_t offset = 0;
+      std::size_t segment = SIZE_MAX;
+    };
+    Position position() const { return {next_seq_, offset_, loaded_}; }
+    void seek(const Position& at);
+
+    // True when next() reaches `seq` without loading another segment
+    // image, so payload spans it already handed out stay valid.
+    bool reaches_in_place(std::uint64_t seq) const;
+
    private:
     friend class RecordLog;
     struct SegmentRef {

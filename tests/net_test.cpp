@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <thread>
 
 #include "common/endian.hpp"
@@ -484,6 +485,133 @@ TEST(Channel, LargeMessage) {
   auto received = b.receive(10000).value();
   sender.join();
   EXPECT_EQ(received, big);
+}
+
+// A run of frames for one gathered write: each payload is patterned and
+// split over two slices, so frames and slices both cross iovec edges.
+struct FrameRun {
+  std::vector<std::vector<std::uint8_t>> payloads;
+  std::vector<std::array<IoSlice, 2>> slices;
+  std::vector<FrameSlices> frames;
+
+  explicit FrameRun(const std::vector<std::size_t>& sizes) {
+    for (const std::size_t size : sizes) {
+      std::vector<std::uint8_t> payload(size);
+      for (std::size_t i = 0; i < size; ++i)
+        payload[i] = static_cast<std::uint8_t>(i * 31 + size);
+      payloads.push_back(std::move(payload));
+    }
+    for (const auto& payload : payloads) {
+      const std::size_t half = payload.size() / 2;
+      slices.push_back({IoSlice{payload.data(), half},
+                        IoSlice{payload.data() + half, payload.size() - half}});
+    }
+    for (const auto& pair : slices) frames.emplace_back(pair.data(), 2);
+  }
+  std::size_t wire(std::size_t i) const {
+    return kFrameHeaderBytes + payloads[i].size();
+  }
+};
+
+// Moves every frame already readable into `got`; the stream's end (or
+// kUnavailable when it has not ended) comes back.
+Status drain_frames(Channel& channel,
+                    std::vector<std::vector<std::uint8_t>>& got) {
+  std::vector<std::uint8_t> out;
+  for (;;) {
+    Status status = channel.try_receive(out, 1u << 20);
+    if (!status.is_ok()) return status;
+    got.push_back(out);
+  }
+}
+
+// Reads to the end of the stream, waiting for bytes still in flight.
+Status read_to_end(Channel& channel,
+                   std::vector<std::vector<std::uint8_t>>& got) {
+  for (;;) {
+    Status status = drain_frames(channel, got);
+    if (status.code() != ErrorCode::kUnavailable) return status;
+    if (!channel.poll_readable(2000))
+      return Status(ErrorCode::kTimeout, "stream did not end");
+  }
+}
+
+// One gathered write killed at every byte of its wire image: the reader
+// gets exactly the frames whose last byte fit the budget, byte for byte,
+// then the end of the stream; the writer's progress and counters agree.
+TEST(Channel, GatheredRunKilledAtEveryByteDeliversTheWholeFramesOnly) {
+  const FrameRun run({0, 9, 700, 70 * 1024, 33});
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < run.frames.size(); ++i) total += run.wire(i);
+  for (std::size_t budget = 0; budget <= total; ++budget) {
+    auto [a, b] = Channel::pipe().value();
+    a.arm_failure(InjectedFailure::kKillAfterBytes, budget);
+    std::vector<std::vector<std::uint8_t>> got;
+    SendProgress at;
+    Status sent;
+    while ((sent = a.send_some(run.frames, at)).code() ==
+           ErrorCode::kUnavailable)
+      (void)drain_frames(b, got);  // a small socket buffer: make room
+    Status end = read_to_end(b, got);
+
+    std::size_t whole = 0;
+    std::size_t whole_bytes = 0;
+    while (whole < run.frames.size() &&
+           whole_bytes + run.wire(whole) <= budget)
+      whole_bytes += run.wire(whole++);
+    ASSERT_EQ(sent.code(), ErrorCode::kIoError) << "budget " << budget;
+    ASSERT_EQ(at.frames, whole) << "budget " << budget;
+    ASSERT_EQ(at.bytes, budget - whole_bytes) << "budget " << budget;
+    ASSERT_EQ(a.messages_sent(), whole) << "budget " << budget;
+    ASSERT_EQ(a.bytes_sent(), whole_bytes) << "budget " << budget;
+    ASSERT_EQ(got.size(), whole) << "budget " << budget;
+    for (std::size_t i = 0; i < whole; ++i)
+      ASSERT_EQ(got[i], run.payloads[i]) << "budget " << budget;
+    ASSERT_EQ(end.code(), budget == whole_bytes ? ErrorCode::kNotFound
+                                                : ErrorCode::kIoError)
+        << "budget " << budget << ": " << end.to_string();
+  }
+}
+
+// Frames that fit the batch share one sendmsg; a run larger than the
+// socket buffer stops at EAGAIN with counters that match its progress,
+// and completes once the reader drains.
+TEST(Channel, GatheredRunStopsWhenTheSocketIsFullAndResumes) {
+  auto [a, b] = Channel::pipe().value();
+  const FrameRun small(std::vector<std::size_t>(20, 100));
+  SendProgress at;
+  ASSERT_TRUE(a.send_some(small.frames, at).is_ok());
+  EXPECT_EQ(a.send_calls(), 1u);
+  EXPECT_EQ(a.messages_sent(), small.frames.size());
+  std::vector<std::vector<std::uint8_t>> got;
+  ASSERT_EQ(drain_frames(b, got).code(), ErrorCode::kUnavailable);
+  ASSERT_EQ(got, small.payloads);
+
+  const FrameRun big(std::vector<std::size_t>(32, 70 * 1024));
+  const std::size_t frames_before = a.messages_sent();
+  const std::size_t bytes_before = a.bytes_sent();
+  at = {};
+  ASSERT_EQ(a.send_some(big.frames, at).code(), ErrorCode::kUnavailable);
+  ASSERT_GT(at.frames, 0u);
+  ASSERT_LT(at.frames, big.frames.size());
+  ASSERT_LT(at.bytes, big.wire(at.frames));
+  EXPECT_EQ(a.messages_sent() - frames_before, at.frames);
+  EXPECT_EQ(a.bytes_sent() - bytes_before, at.frames * big.wire(0));
+
+  got.clear();
+  std::thread reader([&, &b = b] { (void)read_to_end(b, got); });
+  Status sent;
+  while ((sent = a.send_some(big.frames, at)).code() ==
+         ErrorCode::kUnavailable)
+    ASSERT_TRUE(a.poll_writable(2000));
+  ASSERT_TRUE(sent.is_ok()) << sent.to_string();
+  EXPECT_EQ(at.frames, big.frames.size());
+  EXPECT_EQ(at.bytes, 0u);
+  EXPECT_EQ(a.messages_sent() - frames_before, big.frames.size());
+  EXPECT_EQ(a.bytes_sent() - bytes_before, big.frames.size() * big.wire(0));
+  a.close();
+  reader.join();
+  EXPECT_EQ(got, big.payloads);
 }
 
 }  // namespace

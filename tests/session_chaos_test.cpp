@@ -17,7 +17,9 @@
 
 #include <atomic>
 #include <deque>
+#include <filesystem>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -362,6 +364,176 @@ TEST(SessionChaos, AnnouncementCutMidWireGoesOutWholeOnTheNextTransport) {
 
 TEST(SessionChaos, AnnouncementKilledMidWriteGoesOutWholeOnTheNextTransport) {
   run_cut_announcement(1000);
+}
+
+// --- a history batch cut by a dying transport ----------------------------
+//
+// A durable sender answers a replay request with runs of frames, each run
+// one gathered write. Killing the transport inside one must cost the
+// subscriber nothing: what was whole on the wire is delivered, the rest
+// comes back on the next transport, each record once and after its
+// announcement.
+
+struct ChaosSized {
+  std::int32_t id;
+  std::int32_t n;
+  float* values;
+};
+
+pbio::FormatPtr chaos_sized(pbio::FormatRegistry& registry) {
+  return registry
+      .register_format("ChaosSized",
+                       {{"id", "integer", 4, offsetof(ChaosSized, id)},
+                        {"n", "integer", 4, offsetof(ChaosSized, n)},
+                        {"values", "float[n]", 4,
+                         offsetof(ChaosSized, values)}},
+                       sizeof(ChaosSized))
+      .value();
+}
+
+constexpr int kHistoryRecords = 300;
+
+SessionOptions durable_options(const std::string& dir) {
+  SessionOptions options = quiet_options();
+  options.durable_dir = dir;
+  options.durable_fsync = storage::FsyncPolicy::kNone;
+  return options;
+}
+
+// Logs 300 records of two formats, 40 B to 2 KB each, into `dir`.
+void write_history(const std::string& dir) {
+  pbio::FormatRegistry registry, sink_registry;
+  auto pipe = net::Channel::pipe().value();
+  MessageSession sender(std::move(pipe.first), registry, durable_options(dir));
+  MessageSession sink(std::move(pipe.second), sink_registry);
+  ASSERT_TRUE(sender.durable_status().is_ok());
+  auto small = pbio::Encoder::make(chaos_b(registry)).value();
+  auto sized = pbio::Encoder::make(chaos_sized(registry)).value();
+  std::vector<float> values(480, 0.25f);
+  for (int i = 0; i < kHistoryRecords; ++i) {
+    Status sent;
+    if (i % 3 == 0) {
+      ChaosB record{i, i * 0.5};
+      sent = sender.send(small, &record);
+    } else {
+      ChaosSized record{i, i * 37 % 470 + 1, values.data()};
+      sent = sender.send(sized, &record);
+    }
+    ASSERT_TRUE(sent.is_ok()) << sent.to_string();
+    ASSERT_TRUE(sink.receive_view(2000).is_ok()) << "record " << i;
+  }
+}
+
+// The wire offsets at which the frames answering a replay request from 1
+// end, read by a raw peer.
+std::vector<std::size_t> history_frame_ends(const std::string& dir) {
+  pbio::FormatRegistry registry;
+  auto pipe = net::Channel::pipe().value();
+  MessageSession sender(std::move(pipe.first), registry, durable_options(dir));
+  net::Channel peer = std::move(pipe.second);
+  const std::uint8_t request[9] = {0x07, 1};  // [tag | u64 LE 1]
+  EXPECT_TRUE(peer.send(std::span<const std::uint8_t>(request)).is_ok());
+  std::jthread answering([&] { (void)sender.receive_view(300); });
+  std::vector<std::size_t> ends;
+  std::size_t offset = 0;
+  std::vector<std::uint8_t> frame;
+  for (int records = 0; records < kHistoryRecords;) {
+    if (!peer.receive_into(frame, 5000).is_ok()) break;
+    offset += net::kFrameHeaderBytes + frame.size();
+    ends.push_back(offset);
+    if (frame[0] == 0x02) ++records;
+  }
+  return ends;
+}
+
+// Replays the history in `dir` to a cold subscriber over a transport that
+// dies after `kill_at` wire bytes, then over a fresh one from the record
+// after the last delivered. Returns the ids in delivery order.
+std::vector<std::int32_t> replay_across_a_kill(const std::string& dir,
+                                               std::size_t kill_at) {
+  pbio::FormatRegistry sender_registry, cold_registry;
+  auto first = net::Channel::pipe().value();
+  first.first.arm_failure(net::InjectedFailure::kKillAfterBytes, kill_at);
+  MessageSession sender(std::move(first.first), sender_registry,
+                        durable_options(dir));
+  MessageSession cold(std::move(first.second), cold_registry,
+                      quiet_options());
+  std::atomic<bool> done{false};
+  std::jthread answering([&] {
+    while (!done.load()) (void)sender.receive_view(1);
+  });
+  // Closing the subscriber's end fails any write the sender has left, so
+  // its thread ends promptly.
+  struct Stop {
+    std::atomic<bool>& done;
+    MessageSession& cold;
+    ~Stop() {
+      cold.close();
+      done.store(true);
+    }
+  } stop{done, cold};
+
+  std::vector<std::int32_t> ids;
+  EXPECT_TRUE(cold.request_replay(1).is_ok());
+  // Whatever the first transport carried whole, until it is gone.
+  for (;;) {
+    auto incoming = cold.receive_view(1);
+    if (incoming.is_ok()) {
+      ids.push_back(record_id(incoming.value()));
+      continue;
+    }
+    EXPECT_EQ(incoming.code(), ErrorCode::kTimeout)
+        << incoming.status().to_string();
+    if (!cold.channel().is_open() || ::testing::Test::HasFailure()) break;
+  }
+  auto second = net::Channel::pipe().value();
+  sender.attach(std::move(second.first));
+  cold.attach(std::move(second.second));
+  EXPECT_TRUE(cold.request_replay(ids.size() + 1).is_ok());
+  while (ids.size() < static_cast<std::size_t>(kHistoryRecords)) {
+    auto incoming = cold.receive_view(5000);
+    if (!incoming.is_ok()) {
+      ADD_FAILURE() << "after " << ids.size() << " records: "
+                    << incoming.status().to_string();
+      break;
+    }
+    ids.push_back(record_id(incoming.value()));
+  }
+  EXPECT_EQ(cold.malformed_frames(), 0u) << "kill_at=" << kill_at;
+  return ids;
+}
+
+TEST(SessionChaos, HistoryBatchKilledAtEveryByteResumesExactlyOnce) {
+  char tmpl[] = "/tmp/xmit_chaos_XXXXXX";
+  const std::string dir = ::mkdtemp(tmpl);
+  struct Cleanup {
+    std::string dir;
+    ~Cleanup() { std::filesystem::remove_all(dir); }
+  } cleanup{dir};
+  write_history(dir);
+  if (HasFatalFailure()) return;
+  const std::vector<std::size_t> ends = history_frame_ends(dir);
+  ASSERT_GE(ends.size(), static_cast<std::size_t>(kHistoryRecords));
+
+  // A run starts frames while under kSendBatchBytes, so the first two end
+  // within two batches plus a frame each. Killing at every byte of them
+  // takes minutes; the frame boundaries and a byte either side cover
+  // every way a kill can fall against a frame.
+  const std::size_t two_batches = 2 * (net::kSendBatchBytes + 4096);
+  std::set<std::size_t> kills = {0, 1};
+  for (const std::size_t end : ends) {
+    if (end > two_batches) break;
+    kills.insert({end - 1, end, end + 1});
+  }
+  ASSERT_LT(*kills.rbegin(), ends.back()) << "the kill must fall in the stream";
+  for (const std::size_t kill_at : kills) {
+    const std::vector<std::int32_t> ids = replay_across_a_kill(dir, kill_at);
+    ASSERT_EQ(ids.size(), static_cast<std::size_t>(kHistoryRecords))
+        << "kill_at=" << kill_at;
+    for (int i = 0; i < kHistoryRecords; ++i)
+      ASSERT_EQ(ids[static_cast<std::size_t>(i)], i)
+          << "kill_at=" << kill_at << " position " << i;
+  }
 }
 
 TEST(SessionChaos, AcceptThenHangTriggersLivenessTimeout) {

@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <set>
 #include <span>
 #include <thread>
 
@@ -15,6 +16,7 @@
 #include "common/endian.hpp"
 #include "pbio/dynrecord.hpp"
 #include "pbio/format_wire.hpp"
+#include "pbio/wire.hpp"
 #include "session/session.hpp"
 
 namespace xmit::session {
@@ -870,6 +872,132 @@ TEST(Session, SlowReaderGetsAHistoryLongerThanTheSendDeadline) {
   for (int id = 0; id < kRecords; ++id)
     ASSERT_EQ(ids[static_cast<std::size_t>(id)], id) << "at position " << id;
   EXPECT_EQ(cold.malformed_frames(), 0u);
+}
+
+struct Tally {
+  std::int32_t id;
+  std::int32_t n;
+  std::int32_t* counts;
+};
+
+pbio::FormatPtr tally_format(pbio::FormatRegistry& registry) {
+  return registry
+      .register_format("Tally",
+                       {{"id", "integer", 4, offsetof(Tally, id)},
+                        {"n", "integer", 4, offsetof(Tally, n)},
+                        {"counts", "integer[n]", 4, offsetof(Tally, counts)}},
+                       sizeof(Tally))
+      .value();
+}
+
+// A durable sender answers a replay request with its logged history. The
+// wire is what one frame per write would carry — each announcement ahead
+// of its format's first record, then every record as [0x02 | seq LE |
+// the logged bytes] — but the writer gathers the frames into runs.
+TEST(Session, ReplayedHistoryIsTheLogFrameForFrameAndGathered) {
+  char tmpl[] = "/tmp/xmit_session_XXXXXX";
+  const std::filesystem::path dir = ::mkdtemp(tmpl);
+  struct Cleanup {
+    std::filesystem::path dir;
+    ~Cleanup() { std::filesystem::remove_all(dir); }
+  } cleanup{dir};
+
+  pbio::FormatRegistry sender_registry, sink_registry;
+  auto live = net::Channel::pipe().value();
+  SessionOptions durable;
+  durable.heartbeat_interval_ms = 60000;
+  durable.liveness_deadline_ms = 5000;
+  durable.durable_dir = dir.string();
+  durable.durable_fsync = storage::FsyncPolicy::kNone;
+  // The history spans several segments, so runs meet segment switches.
+  durable.durable_segment_bytes = 128u << 10;
+  MessageSession sender(std::move(live.first), sender_registry, durable);
+  MessageSession sink(std::move(live.second), sink_registry);
+  ASSERT_TRUE(sender.durable_status().is_ok())
+      << sender.durable_status().to_string();
+
+  // 1,000 records of two formats, 40 B to 2 KB each.
+  constexpr std::uint64_t kRecords = 1000;
+  auto readings = pbio::Encoder::make(reading_format(sender_registry)).value();
+  auto tallies = pbio::Encoder::make(tally_format(sender_registry)).value();
+  std::vector<float> series(480, 0.5f);
+  std::vector<std::int32_t> counts(480, 7);
+  char site[] = "gathered";
+  std::vector<std::vector<std::uint8_t>> logged;
+  for (std::uint64_t i = 0; i < kRecords; ++i) {
+    const auto id = static_cast<std::int32_t>(i);
+    const auto n = static_cast<std::int32_t>(i * 37 % 470 + 1);
+    Status sent;
+    if (i % 5 < 3) {
+      Reading record{id, n, series.data(), site};
+      sent = sender.send(readings, &record);
+    } else {
+      Tally record{id, n, counts.data()};
+      sent = sender.send(tallies, &record);
+    }
+    ASSERT_TRUE(sent.is_ok()) << "record " << i << ": " << sent.to_string();
+    auto incoming = sink.receive_view(2000);
+    ASSERT_TRUE(incoming.is_ok()) << "record " << i;
+    logged.emplace_back(incoming.value().bytes.begin(),
+                        incoming.value().bytes.end());
+  }
+
+  std::size_t segments = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    segments += entry.path().extension() == ".log" ? 1 : 0;
+  ASSERT_GT(segments, 4u);
+
+  // A raw peer asks for the whole history and reads every frame.
+  auto replay = net::Channel::pipe().value();
+  sender.attach(std::move(replay.first));
+  net::Channel peer = std::move(replay.second);
+  std::uint8_t request[1 + 8] = {0x07};
+  store_with_order<std::uint64_t>(request + 1, 1, ByteOrder::kLittle);
+  ASSERT_TRUE(peer.send(std::span<const std::uint8_t>(request)).is_ok());
+  Status answered;
+  std::jthread answering(
+      [&] { answered = sender.receive_view(300).status(); });
+
+  std::size_t frames = 0;
+  std::set<pbio::FormatId> announced;
+  std::vector<std::uint8_t> frame;
+  for (std::uint64_t seq = 1; seq <= kRecords;) {
+    ASSERT_TRUE(peer.receive_into(frame, 5000).is_ok()) << "at seq " << seq;
+    ++frames;
+    ASSERT_FALSE(frame.empty());
+    const std::span<const std::uint8_t> body(frame.data() + 1,
+                                             frame.size() - 1);
+    if (frame[0] == 0x01) {
+      auto format = pbio::deserialize_format(body);
+      ASSERT_TRUE(format.is_ok()) << format.status().to_string();
+      EXPECT_TRUE(announced.insert(format.value()->id()).second)
+          << "announced twice";
+      continue;
+    }
+    ASSERT_EQ(frame[0], 0x02) << "unexpected frame tag at seq " << seq;
+    ASSERT_GE(body.size(), 8u);
+    ASSERT_EQ(load_with_order<std::uint64_t>(body.data(), ByteOrder::kLittle),
+              seq);
+    const auto record = body.subspan(8);
+    ASSERT_TRUE(std::equal(record.begin(), record.end(),
+                           logged[seq - 1].begin(), logged[seq - 1].end()))
+        << "record " << seq << " differs from the logged bytes";
+    auto header = pbio::parse_header(record);
+    ASSERT_TRUE(header.is_ok());
+    ASSERT_TRUE(announced.contains(header.value().format_id))
+        << "record " << seq << " ahead of its announcement";
+    ++seq;
+  }
+  answering.join();
+  EXPECT_EQ(answered.code(), ErrorCode::kTimeout) << answered.to_string();
+  EXPECT_EQ(peer.receive_into(frame, 0).code(), ErrorCode::kTimeout)
+      << "frames past the history";
+  EXPECT_EQ(announced.size(), 2u);
+  EXPECT_EQ(frames, kRecords + 2);
+  EXPECT_EQ(sender.channel().messages_sent(), frames);
+  // One sendmsg per frame would be 1,002 calls.
+  EXPECT_LE(sender.channel().send_calls() * 16, frames)
+      << sender.channel().send_calls() << " sendmsg calls";
 }
 
 }  // namespace

@@ -170,6 +170,47 @@ TEST(RecordLog, RotationSpansSegmentsAndSurvivesReopen) {
   expect_replay(log, 1, 60);
 }
 
+// A cursor says when a read stays inside the segment image it holds, and
+// seeks back to a position it gave out without touching the disk; a
+// position from another image reloads the segment that holds it.
+TEST(RecordLog, CursorSeeksBackAndKnowsItsSegmentImage) {
+  TempDir dir;
+  auto log = must_open(dir.path(), small_segments());
+  append_script(log, 1, 60);
+  ASSERT_GT(log.segment_count(), 3u);
+  auto cursor = log.read_from(1);
+  RecordLog::Item item;
+  ASSERT_TRUE(cursor.next(&item).value());
+  const RecordLog::Cursor::Position after_first = cursor.position();
+  // The first segment ends where reaching further would load the next.
+  std::uint64_t last_in_place = 1;
+  while (cursor.reaches_in_place(last_in_place + 1)) ++last_in_place;
+  ASSERT_GT(last_in_place, 2u);
+  ASSERT_LT(last_in_place, 60u);
+  for (std::uint64_t seq = 2; seq <= last_in_place; ++seq)
+    ASSERT_TRUE(cursor.next(&item).value());
+  const std::uint8_t* image_byte = item.payload.data();
+  EXPECT_FALSE(cursor.reaches_in_place(last_in_place + 1));
+
+  cursor.seek(after_first);
+  for (std::uint64_t seq = 2; seq <= last_in_place; ++seq) {
+    ASSERT_TRUE(cursor.next(&item).value());
+    ASSERT_EQ(item.seq, seq);
+    ASSERT_EQ(item.payload.size(), payload_for(seq).size());
+  }
+  EXPECT_EQ(item.payload.data(), image_byte) << "seek reloaded the image";
+
+  // On into the next segment, then back to a position from the first.
+  ASSERT_TRUE(cursor.next(&item).value());
+  EXPECT_EQ(item.seq, last_in_place + 1);
+  cursor.seek(after_first);
+  ASSERT_TRUE(cursor.next(&item).value());
+  EXPECT_EQ(item.seq, 2u);
+  const auto want = payload_for(2);
+  ASSERT_EQ(item.payload.size(), want.size());
+  EXPECT_EQ(std::memcmp(item.payload.data(), want.data(), want.size()), 0);
+}
+
 TEST(RecordLog, RetentionDropsOldestSegments) {
   TempDir dir;
   LogOptions options = small_segments();
